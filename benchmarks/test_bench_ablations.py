@@ -18,10 +18,10 @@ import pytest
 
 from repro.core.buffer_model import design_mems_buffer
 from repro.core.cache_model import CachePolicy
-from repro.core.hybrid import hybrid_split_curve, optimize_hybrid_split
 from repro.core.parameters import SystemParameters
 from repro.core.popularity import BimodalPopularity
 from repro.devices.catalog import MEMS_G3
+from repro.planner.hybrid import hybrid_split_curve, optimize_hybrid_split
 from repro.scheduling.elevator import ElevatorScheduler
 from repro.scheduling.requests import IoKind, IoRequest
 from repro.units import GB, KB, MB

@@ -9,14 +9,16 @@ second one core sustains, and how much memory a long run accumulates
 
 import tracemalloc
 
-from repro.runtime import build_scenario, run_runtime
+from repro.runtime import run_runtime
+from repro.service.scenarios import build_service_scenario
 
 #: ~10k sessions: 160/600 arrivals/s over 40k simulated seconds.
 _HORIZON = 40_000.0
 
 
 def _ten_k_session_config(seed: int = 0):
-    return build_scenario("steady-disk", seed=seed, horizon=_HORIZON)
+    return build_service_scenario("steady-disk", seed=seed,
+                                  horizon=_HORIZON).to_legacy()
 
 
 def test_bench_runtime_event_throughput(benchmark):
@@ -50,10 +52,10 @@ def test_bench_runtime_steady_state_memory():
 
 
 def test_bench_adaptive_cache_epoch_cost(benchmark):
-    config = build_scenario("adaptive-cache", seed=0)
+    config = build_service_scenario("adaptive-cache", seed=0)
 
     def run():
-        return run_runtime(build_scenario("adaptive-cache", seed=0))
+        return run_runtime(config.to_legacy())
 
     result = benchmark(run)
     assert result.totals["replans"] > 0

@@ -18,7 +18,7 @@ Run:  python examples/cache_policy_explorer.py
 
 from repro import BimodalPopularity, CachePolicy, SystemParameters
 from repro.core.cache_model import cache_capacity_fraction, design_mems_cache
-from repro.core.capacity import max_streams_with_cache
+from repro.planner.throughput import max_streams_with_cache
 from repro.simulation import simulate_cache_pipeline
 from repro.units import GB, KB
 from repro.workloads import empirical_hit_rate

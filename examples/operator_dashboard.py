@@ -16,9 +16,9 @@ Run:  python examples/operator_dashboard.py
 """
 
 from repro import BimodalPopularity, CachePolicy, SystemParameters
-from repro.core.capacity import streams_supported
 from repro.core.write_streams import max_writers_supported
 from repro.devices import MEMS_G3, organ_pipe_layout, placement_improvement
+from repro.planner.throughput import streams_supported
 from repro.units import GB, KB, seconds_to_human
 from repro.workloads import erlang_b, simulate_blocking
 from repro.workloads.popularity_gen import RequestSampler

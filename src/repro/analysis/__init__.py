@@ -14,11 +14,11 @@ mechanically, at analysis time:
   rule registry;
 * :mod:`repro.analysis.config` — the declarative
   ``[tool.mems-repro.lint]`` configuration (rule scopes, the layer
-  DAG, shims, contract surfaces) discovered from the nearest
+  DAG, contract surfaces) discovered from the nearest
   ``pyproject.toml``;
 * :mod:`repro.analysis.project` — the whole-program import graph and
   symbol table the graph rules run against;
-* :mod:`repro.analysis.checkers` — the ten repo-specific rules;
+* :mod:`repro.analysis.checkers` — the eight repo-specific rules;
 * :mod:`repro.analysis.engine` — file walking, parsing, the
   content-hash incremental cache, the ``sweep_map`` parallel pass,
   per-line ``# repro-lint: disable=<rule>`` suppressions, and the

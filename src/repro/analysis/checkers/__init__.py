@@ -6,9 +6,8 @@ One module per rule keeps each invariant's logic, scope, and rationale
 in one reviewable place; add new rules by dropping a module here and
 importing it below.
 
-Six rules are per-file; four (``layer-boundaries``, ``dead-export``,
-``shim-freshness`` file-scoped on the declared shims, and
-``event-contract``) enforce whole-program contracts — see
+Five rules are per-file; three (``layer-boundaries``, ``dead-export``
+and ``event-contract``) enforce whole-program contracts — see
 :mod:`repro.analysis.project` for the graph they run against.
 """
 
@@ -20,8 +19,6 @@ from repro.analysis.checkers import (  # noqa: F401  (registration imports)
     exceptions,
     float_equality,
     layer_boundaries,
-    shim_freshness,
-    shim_imports,
     units_literals,
 )
 
@@ -33,7 +30,5 @@ __all__ = [
     "exceptions",
     "float_equality",
     "layer_boundaries",
-    "shim_freshness",
-    "shim_imports",
     "units_literals",
 ]

@@ -16,7 +16,7 @@ The DAG lives declaratively in ``pyproject.toml``::
 
     [tool.mems-repro.lint.layers.exceptions]
     "repro/__init__.py" = ["*"]        # the public-API facade
-    "core/capacity.py" = ["planner"]   # reviewed re-export shim
+    "perf/bench.py" = ["*"]            # the harness times every layer
 
 A module's layer is the first package level below the import root
 (``repro/planner/search.py`` -> ``planner``; top-level modules like

@@ -8,9 +8,6 @@ architecture — now live declaratively in ``pyproject.toml``:
 
 * ``[tool.mems-repro.lint.scopes.<rule>]`` — per-rule ``dirs`` /
   ``files`` / ``exclude-files`` path scopes;
-* ``[tool.mems-repro.lint.shims]`` — the deprecated pure-re-export
-  modules and what replaces each (shared by ``no-shim-imports`` and
-  ``shim-freshness``);
 * ``[tool.mems-repro.lint.layers]`` — the architecture DAG: which
   layer may import which, plus named per-file exceptions;
 * ``[tool.mems-repro.lint.contracts]`` — the event/metric contract
@@ -87,8 +84,8 @@ class LayerSpec:
     ``allow`` maps each layer to the layers it may import (its own
     layer and :data:`ROOT_LAYER` are always allowed); ``exceptions``
     maps a file tail to extra allowed layers (``"*"`` = all) for the
-    handful of reviewed seams: re-export shims, the public-API facade,
-    the benchmark harness.
+    handful of reviewed seams: the public-API facades, the legacy
+    analytical modules that call the planner, the benchmark harness.
     """
 
     allow: tuple[tuple[str, tuple[str, ...]], ...] = ()
@@ -157,14 +154,7 @@ DEFAULT_SCOPES: tuple[tuple[str, ScopeSpec], ...] = (
     ("float-equality", ScopeSpec(
         dirs=("core", "planner", "experiments", "vod", "service"),
         files=("benchmarks/regress.py",))),
-    ("no-shim-imports", ScopeSpec(
-        exclude_files=("core/capacity.py", "core/hybrid.py"))),
     ("unit-literals", ScopeSpec(exclude_files=("units.py",))),
-)
-
-DEFAULT_SHIMS: tuple[tuple[str, str], ...] = (
-    ("repro.core.capacity", "repro.planner.throughput"),
-    ("repro.core.hybrid", "repro.planner.hybrid"),
 )
 
 DEFAULT_LAYERS = LayerSpec(
@@ -192,10 +182,6 @@ DEFAULT_LAYERS = LayerSpec(
         # core's own facade re-exports the solvers that moved to the
         # planning layer in PR 2.
         ("core/__init__.py", ("planner",)),
-        # Pure re-export shims over the planning layer (shim-freshness
-        # certifies they stay that way).
-        ("core/capacity.py", ("planner",)),
-        ("core/hybrid.py", ("planner",)),
         # Legacy analytical seams: region maps and sensitivity sweeps
         # predate the planning layer and call the memoized planner
         # directly.
@@ -205,9 +191,6 @@ DEFAULT_LAYERS = LayerSpec(
         ("perf/bench.py", (ANY_LAYER,)),
         # The package facade re-exports the public API of every layer.
         ("repro/__init__.py", (ANY_LAYER,)),
-        # Legacy scenario factories are thin shims over the service
-        # catalogue (PR 7); the dependency is one lazy import.
-        ("runtime/scenarios.py", ("service",)),
     ),
 )
 
@@ -228,7 +211,6 @@ class LintConfig:
     #: Import root, relative to ``root`` (``package-dir`` convention).
     src_root: str = "src"
     scopes: tuple[tuple[str, ScopeSpec], ...] = DEFAULT_SCOPES
-    shims: tuple[tuple[str, str], ...] = DEFAULT_SHIMS
     layers: LayerSpec = field(default_factory=lambda: DEFAULT_LAYERS)
     contracts: ContractSpec = field(default_factory=lambda: DEFAULT_CONTRACTS)
     #: ``[project.scripts]`` targets: roots the dead-export rule keeps.
@@ -241,9 +223,6 @@ class LintConfig:
             if name == rule:
                 return spec
         return None
-
-    def shim_map(self) -> dict[str, str]:
-        return dict(self.shims)
 
     def src_path(self) -> Path | None:
         if self.root is None:
@@ -530,13 +509,6 @@ def load_config(root: Path) -> LintConfig:
         baseline=(str(lint["baseline"]) if "baseline" in lint else None))
     if "scopes" in lint:
         config = replace(config, scopes=_parse_scopes(lint["scopes"]))
-    if "shims" in lint:
-        shims = lint["shims"]
-        if not isinstance(shims, dict):
-            raise ConfigurationError("shims must be a table of "
-                                     "module -> replacement strings")
-        config = replace(config, shims=tuple(sorted(
-            (str(k), str(v)) for k, v in shims.items())))
     if "layers" in lint:
         config = replace(config, layers=_parse_layers(lint["layers"]))
     if "contracts" in lint:

@@ -36,7 +36,7 @@ _MAX_INDEXED_STRING = 80
 class ModuleSummary:
     """What one module contributes to the whole-program graph."""
 
-    #: Dotted module name (``repro.core.capacity``).
+    #: Dotted module name (``repro.planner.throughput``).
     module: str
     #: Path string as analyzed (findings anchor here).
     path: str

@@ -12,11 +12,12 @@ This package implements every closed-form result of the paper:
 * :mod:`~repro.core.cache_model` — Theorems 3 and 4 (striped and
   replicated MEMS caches) and the cache cost model (Equations 9-13).
 * :mod:`~repro.core.cost` — buffering-cost comparisons (Equations 1-2).
-* :mod:`~repro.core.capacity` — inverse solvers: the maximum number of
-  streams a configuration supports under a DRAM/budget constraint.
 * :mod:`~repro.core.sensitivity` — latency-ratio sweeps (Figure 7).
-* :mod:`~repro.core.hybrid` — the paper's future-work combined
-  buffer+cache partitioning of the MEMS bank.
+
+The inverse solvers (the maximum number of streams a configuration
+supports under a DRAM budget) and the future-work hybrid buffer+cache
+split of the bank live in :mod:`repro.planner`; the ``max_streams_*``
+and hybrid names below are re-exported from there.
 """
 
 from repro.core.parameters import SystemParameters

@@ -117,8 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
         "runtime", help="run an online-server scenario (or 'list')")
     runtime_cmd.add_argument("scenario", nargs="?", default=None,
                              help="scenario name (see 'runtime list')")
-    runtime_cmd.add_argument("--seed", type=int, default=0,
-                             help="random seed (default 0)")
+    runtime_cmd.add_argument("--seed", type=int, default=None,
+                             help="random seed (default: the config's own "
+                                  "seed with --config, else 0)")
     runtime_cmd.add_argument("--horizon", type=float, default=None,
                              help="simulated seconds (scenario default)")
     runtime_cmd.add_argument("--json", metavar="PATH", default=None,
@@ -185,14 +186,10 @@ def _run_lint(args: argparse.Namespace) -> int:
 def _run_runtime(args: argparse.Namespace) -> int:
     """The ``runtime`` subcommand: run a scenario, print the dashboard."""
     from repro.errors import ConfigurationError
-    from repro.runtime.scenarios import (
-        SCENARIOS,
-        run_scenario,
-        run_scenario_batch,
-    )
+    from repro.runtime.runtime import run_runtime
     from repro.service.scenarios import (
+        SERVICE_SCENARIOS,
         build_service_scenario,
-        require_known_scenario,
     )
 
     if args.config is not None:
@@ -210,8 +207,9 @@ def _run_runtime(args: argparse.Namespace) -> int:
                 raise ConfigurationError(
                     f"horizon must be > 0, got {args.horizon!r}")
             config = config.replace(horizon=args.horizon)
-        result = run_service(config.replace(seed=args.seed)
-                             if args.seed != config.seed else config)
+        if args.seed is not None:
+            config = config.replace(seed=args.seed)
+        result = run_service(config)
         print(result.dashboard())
         print()
         print(result.summary())
@@ -224,8 +222,9 @@ def _run_runtime(args: argparse.Namespace) -> int:
         raise ConfigurationError(
             "runtime needs a scenario name, 'list', 'all', or --config "
             "(see 'runtime list')")
+    seed = 0 if args.seed is None else args.seed
     if args.emit_config is not None:
-        config = build_service_scenario(args.scenario, seed=args.seed,
+        config = build_service_scenario(args.scenario, seed=seed,
                                         horizon=args.horizon)
         text = config.to_json(indent=2)
         if args.emit_config == "-":
@@ -236,13 +235,20 @@ def _run_runtime(args: argparse.Namespace) -> int:
             print(f"wrote {args.emit_config}", file=sys.stderr)
         return 0
     if args.scenario == "list":
-        for name, factory in SCENARIOS.items():
+        for name, factory in SERVICE_SCENARIOS.items():
             doc = (factory.__doc__ or "").strip().splitlines()[0]
             print(f"{name:>20}  {doc}")
         return 0
     if args.scenario == "all":
-        results = run_scenario_batch(seed=args.seed, horizon=args.horizon,
-                                     jobs=args.jobs)
+        from repro.perf.parallel import sweep_map
+
+        # Each compiled config carries its own seed and builds a private
+        # planner and generators, so the fan-out equals a serial loop.
+        configs = [build_service_scenario(name, seed=seed,
+                                          horizon=args.horizon).to_legacy()
+                   for name in SERVICE_SCENARIOS]
+        results = dict(zip(SERVICE_SCENARIOS,
+                           sweep_map(run_runtime, configs, jobs=args.jobs)))
         for name, result in results.items():
             print(f"=== {name} ===")
             print(result.dashboard())
@@ -258,11 +264,9 @@ def _run_runtime(args: argparse.Namespace) -> int:
                 _json.dump(payload, handle, indent=2)
             print(f"wrote {args.json}", file=sys.stderr)
         return 0
-    # Fail on a bad name before anything heavy runs — and through the
-    # one canonical validator, so the error text has a single home.
-    require_known_scenario(args.scenario)
-    result = run_scenario(args.scenario, seed=args.seed,
-                          horizon=args.horizon)
+    config = build_service_scenario(args.scenario, seed=seed,
+                                    horizon=args.horizon)
+    result = run_runtime(config.to_legacy())
     print(result.dashboard())
     print()
     print(result.summary())

@@ -65,7 +65,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.errors import ConfigurationError
@@ -301,15 +301,18 @@ def bench_runtime_scenario(preset: str) -> dict[str, float]:
     ``events_executed`` is reported informationally.
     """
     from repro.runtime.runtime import run_runtime
-    from repro.runtime.scenarios import build_scenario
+    from repro.service.scenarios import build_service_scenario
 
     scale = _scale(preset)
     horizon = scale["horizon"]
-    # Build the config outside the timed region: the factory's one-time
-    # service-package import must not land in a single-repeat wall time.
-    config = build_scenario("device-failure", seed=7, horizon=horizon)
-    config.workload.scale_rate(scale["runtime_rate"])
-    config.session_core = "table"
+    # Compile the config outside the timed region: the factory's
+    # one-time import cost must not land in a single-repeat wall time.
+    scenario = build_service_scenario("device-failure", seed=7,
+                                      horizon=horizon)
+    workload = replace(scenario.workload, arrival_rate=(
+        scenario.workload.arrival_rate * scale["runtime_rate"]))
+    config = scenario.replace(workload=workload,
+                              session_core="table").to_legacy()
     start = _elapsed()
     result = run_runtime(config)
     wall = _elapsed() - start
@@ -339,14 +342,16 @@ def bench_million_sessions(preset: str) -> dict[str, float]:
     sessions per wall second).
     """
     from repro.runtime.runtime import run_runtime
-    from repro.runtime.scenarios import build_scenario
+    from repro.service.scenarios import build_service_scenario
 
     scale = _scale(preset)
-    config = build_scenario("steady-disk", seed=5,
-                            horizon=scale["million_horizon"])
-    config.session_core = "table"
-    config.workload.arrival_rate = scale["million_rate"]
-    config.workload.mean_holding = scale["million_holding"]
+    scenario = build_service_scenario("steady-disk", seed=5,
+                                      horizon=scale["million_horizon"])
+    workload = replace(scenario.workload,
+                       arrival_rate=scale["million_rate"],
+                       mean_holding=scale["million_holding"])
+    config = scenario.replace(workload=workload,
+                              session_core="table").to_legacy()
     start = _elapsed()
     result = run_runtime(config)
     wall = _elapsed() - start
@@ -538,8 +543,7 @@ def bench_flash_crowd(preset: str) -> dict[str, float]:
     1. the timed subject: the prefix-mode scenario (multicast batching,
        adaptive replacement, per-stream admission);
     2. the identical workload re-run under the whole-stream ``"cache"``
-       configuration at the same MEMS/DRAM budgets (rebuilt from the
-       factory — the workload object is mutated in place by surges);
+       configuration at the same MEMS/DRAM budgets;
     3. a cold-vs-warm :class:`~repro.vod.placement.PrefixPlacement`
        re-plan loop mirroring ``replan_epochs``, pinning the
        warm-start probe ratio for prefix-mode epoch solves.
@@ -551,19 +555,18 @@ def bench_flash_crowd(preset: str) -> dict[str, float]:
     from repro.core.parameters import SystemParameters
     from repro.planner.solver import Planner
     from repro.runtime.runtime import run_runtime
-    from repro.runtime.scenarios import build_scenario
+    from repro.service.scenarios import build_service_scenario
     from repro.units import GB, KB
     from repro.vod.placement import PrefixPlacement
 
     scale = _scale(preset)
-    horizon = scale["vod_horizon"]
+    scenario = build_service_scenario("flash_crowd", seed=11,
+                                      horizon=scale["vod_horizon"])
     start = _elapsed()
-    prefix_result = run_runtime(build_scenario("flash_crowd", seed=11,
-                                               horizon=horizon))
+    prefix_result = run_runtime(scenario.to_legacy())
     wall = _elapsed() - start
-    whole_config = build_scenario("flash_crowd", seed=11, horizon=horizon)
-    whole_config.configuration = "cache"
-    whole_result = run_runtime(whole_config)
+    whole_result = run_runtime(
+        scenario.replace(configuration="cache").to_legacy())
 
     epochs = int(scale["replan_epochs"])
     n_titles = int(scale["replan_titles"])

@@ -24,10 +24,8 @@ population?*  This package is the single answer path:
 * :mod:`~repro.planner.hybrid` — the Section 7 buffer+cache split of
   the bank.
 
-The legacy entry points (:mod:`repro.core.capacity`,
-:mod:`repro.core.hybrid`, ``AdmissionController.capacity``) remain as
-pure re-export shims over this package; internal code imports from
-here (the ``no-shim-imports`` lint rule enforces it).
+Every caller of the Theorem 1-4 solvers imports them from here;
+``AdmissionController.capacity`` delegates to this package too.
 """
 
 from repro.planner.search import (

@@ -6,7 +6,7 @@ buffer (Theorem 2), a striped/replicated MEMS content cache (Theorems
 3/4), and the future-work hybrid split of the bank — were historically
 named ad hoc: strings (``"none"`` / ``"buffer"`` / ``"cache"``) in the
 admission controller and capacity solvers, keyword choices in the
-experiments, split integers in :mod:`repro.core.hybrid`.
+experiments, split integers in the hybrid solver.
 :class:`Configuration` is the one canonical, hashable spelling all
 layers now share, and therefore the second half of every memoization
 key ``(params, configuration)``.

@@ -20,8 +20,7 @@ and :func:`optimize_hybrid_split` scans all ``k + 1`` splits.
 
 The per-split solve itself (forward DRAM model and inverse throughput
 search) builds :meth:`repro.planner.Configuration.hybrid` specs and
-delegates to the shared, memoized planner; the deprecated
-:mod:`repro.core.hybrid` shim re-exports this module.
+delegates to the shared, memoized planner.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ configuration admit under a DRAM budget?" — reduces to finding the
 largest ``n`` for which a monotone feasibility predicate holds (the
 forward DRAM models are strictly increasing in ``n``).  Historically
 that search was implemented twice: a continuous doubling+bisection in
-:mod:`repro.core.capacity` and an integer copy inside
+the core capacity solvers and an integer copy inside
 :meth:`repro.scheduling.admission.AdmissionController.capacity`.  Both
 now live here, with one set of tolerance constants, and every layer
 (core wrappers, admission control, experiments, runtime) calls these.

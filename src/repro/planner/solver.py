@@ -21,7 +21,7 @@ figure sweeps, Erlang-B capacity queries, and runtime epoch re-planning
 stop recomputing identical solves; ``params.replace(...)`` produces a
 new key and therefore a fresh solve.  A process-wide
 :func:`default_planner` serves the stateless wrappers in
-:mod:`repro.core.capacity` and :mod:`repro.core.hybrid`; components
+:mod:`repro.planner.throughput` and :mod:`repro.planner.hybrid`; components
 with their own lifecycle (the online runtime) construct a private
 planner so its counters describe just that run.
 """
@@ -431,8 +431,8 @@ _DEFAULT_PLANNER: Planner | None = None
 def default_planner() -> Planner:
     """The process-wide shared planner (lazy singleton).
 
-    The stateless wrappers in :mod:`repro.core.capacity`,
-    :mod:`repro.core.hybrid`, and the experiment runners all share this
+    The stateless wrappers in :mod:`repro.planner.throughput`,
+    :mod:`repro.planner.hybrid`, and the experiment runners all share this
     instance, so repeated sweeps (e.g. re-running a figure, or the
     headline-note re-queries inside one) hit its cache.
     """

@@ -7,10 +7,8 @@ requirement; these functions invert them by delegating to the shared,
 memoized :class:`repro.planner.Planner`
 (:func:`repro.planner.default_planner`).
 
-They are the supported internal spelling of what the deprecated
-:mod:`repro.core.capacity` shim re-exports; new code either calls
-these or builds a :class:`repro.planner.Configuration` and talks to
-the planner directly.
+Callers either use these or build a
+:class:`repro.planner.Configuration` and talk to the planner directly.
 """
 
 from __future__ import annotations

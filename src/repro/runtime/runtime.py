@@ -166,7 +166,7 @@ class RuntimeConfig:
     #: in vectorized chunks and harvests departures by masked scans at
     #: control-timer boundaries.  Both cores consume the same
     #: purpose-split RNG streams, so their metrics JSON is byte
-    #: identical (see ``repro.runtime.parity``).
+    #: identical (see ``repro.service.parity``).
     session_core: str = "objects"
 
     def __post_init__(self) -> None:

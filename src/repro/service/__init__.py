@@ -9,7 +9,8 @@ explicit published state, and whose every control-plane action lands
 as a typed event on an :class:`~repro.service.events.EventBus`.
 :class:`~repro.service.traffic.TrafficProgram` replays the named
 scenarios through that API, and :mod:`repro.service.parity` proves the
-replay byte-identical to the legacy batch loop.
+replay byte-identical to the engine loop, and the table session core
+byte-identical to the object core.
 """
 
 from repro.service.backpressure import (
@@ -45,7 +46,11 @@ from repro.service.events import (
     SessionRejected,
 )
 from repro.service.facade import AdmitTicket, MediaService, TicketState
-from repro.service.parity import compare_scenario, verify_all
+from repro.service.parity import (
+    compare_scenario,
+    verify_all,
+    verify_all_cores,
+)
 from repro.service.scenarios import (
     SERVICE_SCENARIOS,
     build_service_scenario,
@@ -90,4 +95,5 @@ __all__ = [
     "require_known_scenario",
     "run_service",
     "verify_all",
+    "verify_all_cores",
 ]

@@ -1,22 +1,24 @@
 """The nine named scenarios, declaratively.
 
-This module is the single source of truth for scenario names and
-contents: each factory returns a frozen
-:class:`~repro.service.config.RuntimeConfig` tree (so any scenario
-serialises to JSON via ``mems-repro runtime --emit-config``), the
-legacy factories in :mod:`repro.runtime.scenarios` are thin
-``.to_legacy()`` shims over these, and
+This module is the one scenario registry: each factory returns a
+frozen :class:`~repro.service.config.RuntimeConfig` tree (so any
+scenario serialises to JSON via ``mems-repro runtime --emit-config``),
+callers edit a scenario with ``.replace(...)`` and run it with
+``run_runtime(config.to_legacy())`` or ``run_service(config)``, and
 :func:`require_known_scenario` is the one place an unknown scenario
-name turns into an error — the CLI and both scenario registries route
-through it.
+name turns into an error.  Same name + seed + horizon => identical
+run: admissions, migrations, drops and metrics all derive from the
+config's seed.
 
-The numbers are transcribed exactly from the pre-refactor factories
-(the parity harness in :mod:`repro.service.parity` holds both paths to
-byte-identical output); see the legacy module docstring for the
-library-sizing rationale.  ``overload`` is the one scenario born
-declarative: a plain-disk run offered ~3x its admission capacity, the
-regime where the backpressure governor lives in ``SHEDDING`` and the
-service facade's explicit states earn their keep.
+The content library is modelled as 100 equal-sized titles on a 200 GB
+slice of the disk, so the ``k = 2`` G3 bank caches the top 5-10% of the
+catalogue depending on policy — enough for the adaptive placement to
+matter without trivialising the disk path.
+
+The VoD prefix-mode scenarios use *underscored* names (``flash_crowd``,
+``diurnal_drift``, ``long_tail``); the older hyphenated ``flash-crowd``
+is a plain-disk rate surge and coexists — they answer different
+questions (loss-system blocking vs. multicast fan-out economics).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from repro.service.config import (
 )
 from repro.units import GB, KB, MB
 
-#: Library size: 100 titles on a 200 GB disk slice (see legacy module).
+#: Library size: 100 titles on a 200 GB disk slice (see module docstring).
 _N_TITLES = 100
 _LIBRARY_BYTES = 200 * GB
 _BIT_RATE = 500 * KB
@@ -249,10 +251,10 @@ SERVICE_SCENARIOS: dict[str, Callable[..., RuntimeConfig]] = {
 def require_known_scenario(name: str) -> Callable[..., RuntimeConfig]:
     """Look up a scenario factory; THE canonical unknown-name error.
 
-    Every surface that takes a scenario name — the legacy registry,
-    the CLI's ``runtime`` subcommand, ``--emit-config`` — routes
-    through here, so the error text (and the list of names in it) has
-    exactly one home.
+    Every surface that takes a scenario name — the CLI's ``runtime``
+    subcommand, ``--emit-config``, :func:`build_service_scenario` —
+    routes through here, so the error text (and the list of names in
+    it) has exactly one home.
     """
     try:
         return SERVICE_SCENARIOS[name]

@@ -13,7 +13,7 @@ classic loss-system machinery:
   an admission capacity, reporting the empirical blocking probability
   and occupancy statistics.
 
-Together with :mod:`repro.core.capacity` (which converts DRAM budget
+Together with :mod:`repro.planner.throughput` (which converts DRAM budget
 and device configuration into an admission capacity), this answers
 questions like "how much blocking does adding a MEMS buffer remove at
 the same DRAM budget?".
@@ -93,7 +93,7 @@ def simulate_blocking(*, capacity: int, arrival_rate: float,
     """Simulate a Poisson/exponential loss system over ``horizon`` seconds.
 
     ``capacity`` is the admission limit (e.g. from
-    :func:`repro.core.capacity.streams_supported`); ``arrival_rate`` in
+    :func:`repro.planner.throughput.streams_supported`); ``arrival_rate`` in
     sessions/second; ``mean_holding`` in seconds.  An arrival finding
     ``capacity`` sessions active is blocked and lost (no retries),
     matching the Erlang-B model.

@@ -42,7 +42,7 @@ class TestRegistry:
     def test_all_six_rules_registered(self):
         assert set(all_rules()) >= {
             "no-bare-assert", "determinism", "unit-literals",
-            "no-shim-imports", "float-equality", "exception-hygiene"}
+            "layer-boundaries", "float-equality", "exception-hygiene"}
 
     def test_unknown_rule_is_a_configuration_error(self):
         with pytest.raises(ConfigurationError):
@@ -181,21 +181,6 @@ class TestUnitLiterals:
         assert checker.applies_to(Path("src/repro/core/theorems.py"))
 
 
-class TestNoShimImports:
-    def test_flags_all_three_import_forms(self):
-        found = findings_for("shim_imports.py", rule="no-shim-imports")
-        assert [f.line for f in found] == [2, 3, 4]
-        messages = " / ".join(f.message for f in found)
-        assert "repro.planner.throughput" in messages
-        assert "repro.planner.hybrid" in messages
-
-    def test_shim_modules_themselves_are_exempt(self):
-        checker = get_checker("no-shim-imports")
-        assert not checker.applies_to(Path("src/repro/core/capacity.py"))
-        assert not checker.applies_to(Path("src/repro/core/hybrid.py"))
-        assert checker.applies_to(Path("src/repro/core/regions.py"))
-
-
 class TestFloatEquality:
     def test_flags_float_comparisons(self):
         found = findings_for("core/float_eq.py", rule="float-equality")
@@ -293,7 +278,7 @@ class TestEngine:
         assert found == sorted(found)
         assert {Path(f.path).name for f in found} >= {
             "no_bare_assert.py", "wall_clock.py", "unit_literals.py",
-            "shim_imports.py", "float_eq.py", "exception_hygiene.py",
+            "float_eq.py", "exception_hygiene.py",
             "suppressions.py", "bad_syntax.py", "pool_and_clock.py",
             "incremental.py", "batch.py"}
 

@@ -5,18 +5,18 @@ import math
 import pytest
 
 from repro.core.cache_model import CachePolicy
-from repro.core.capacity import (
-    max_streams_with_buffer,
-    max_streams_with_cache,
-    max_streams_without_mems,
-    streams_supported,
-)
 from repro.core.buffer_model import design_mems_buffer
 from repro.core.cache_model import design_mems_cache
 from repro.core.parameters import SystemParameters
 from repro.core.popularity import BimodalPopularity
 from repro.core.theorems import min_buffer_direct
 from repro.errors import ConfigurationError
+from repro.planner.throughput import (
+    max_streams_with_buffer,
+    max_streams_with_cache,
+    max_streams_without_mems,
+    streams_supported,
+)
 from repro.units import GB, KB
 
 

@@ -3,15 +3,15 @@
 import pytest
 
 from repro.core.cache_model import CachePolicy
-from repro.core.hybrid import (
+from repro.core.parameters import SystemParameters
+from repro.core.popularity import BimodalPopularity
+from repro.errors import ConfigurationError
+from repro.planner.hybrid import (
     hybrid_split_curve,
     hybrid_streams_supported,
     hybrid_throughput,
     optimize_hybrid_split,
 )
-from repro.core.parameters import SystemParameters
-from repro.core.popularity import BimodalPopularity
-from repro.errors import ConfigurationError
 from repro.units import GB, KB
 
 

@@ -12,15 +12,15 @@ from repro.core.cache_model import (
     replicated_cache_buffer,
     striped_cache_buffer,
 )
-from repro.core.capacity import (
-    max_streams_with_buffer,
-    max_streams_with_cache,
-    max_streams_without_mems,
-)
 from repro.core.parameters import SystemParameters
 from repro.core.popularity import BimodalPopularity
 from repro.core.theorems import min_buffer_direct
 from repro.devices.catalog import FUTURE_DISK_2007, MEMS_G3
+from repro.planner.throughput import (
+    max_streams_with_buffer,
+    max_streams_with_cache,
+    max_streams_without_mems,
+)
 from repro.scheduling.time_cycle import build_buffer_schedule
 from repro.simulation.pipelines import (
     simulate_buffer_pipeline,

@@ -155,21 +155,16 @@ class TestSweepDeterminism:
             assert fanned[experiment_id].to_csv() == result.to_csv()
             assert fanned[experiment_id].notes == result.notes
 
-    def test_scenario_batch_matches_serial(self):
-        from repro.runtime.scenarios import run_scenario_batch
+    def test_scenario_batch_matches_serial(self, capsys, tmp_path):
+        from repro.experiments.cli import main
 
-        names = ["device-failure", "degraded-bandwidth"]
-        serial = run_scenario_batch(names, seed=3, horizon=600.0, jobs=1)
-        fanned = run_scenario_batch(names, seed=3, horizon=600.0, jobs=2)
-        assert list(fanned) == names
-        for name in names:
-            assert fanned[name].to_json() == serial[name].to_json()
-
-    def test_scenario_batch_validates_names(self):
-        from repro.runtime.scenarios import run_scenario_batch
-
-        with pytest.raises(ConfigurationError):
-            run_scenario_batch(["no-such-scenario"])
+        outputs = []
+        for jobs in ("1", "2"):
+            path = tmp_path / f"jobs{jobs}.json"
+            assert main(["runtime", "all", "--seed", "3", "--horizon",
+                         "1200", "--jobs", jobs, "--json", str(path)]) == 0
+            outputs.append((capsys.readouterr().out, path.read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestChunkSize:

@@ -14,13 +14,6 @@ import pytest
 
 from repro.core.buffer_model import design_mems_buffer
 from repro.core.cache_model import CachePolicy, design_mems_cache
-from repro.core.capacity import (
-    max_streams_with_buffer,
-    max_streams_with_cache,
-    max_streams_without_mems,
-    streams_supported,
-)
-from repro.core.hybrid import hybrid_throughput
 from repro.core.parameters import SystemParameters
 from repro.core.popularity import BimodalPopularity
 from repro.core.theorems import min_buffer_disk_dram
@@ -33,6 +26,13 @@ from repro.planner import (
     default_planner,
     max_feasible_int,
     max_feasible_real,
+)
+from repro.planner.hybrid import hybrid_throughput
+from repro.planner.throughput import (
+    max_streams_with_buffer,
+    max_streams_with_cache,
+    max_streams_without_mems,
+    streams_supported,
 )
 from repro.scheduling.admission import AdmissionController
 from repro.units import GB, KB, MB

@@ -4,13 +4,13 @@ import json
 
 import pytest
 
-from repro.runtime import (
-    MetricsLog,
-    SessionEventKind,
-    build_scenario,
-    run_scenario,
-)
+from repro.runtime import MetricsLog, SessionEventKind, run_runtime
+from repro.service.scenarios import build_service_scenario
 from repro.workloads.arrivals import predicted_blocking
+
+
+def run_scenario(name, **kwargs):
+    return run_runtime(build_service_scenario(name, **kwargs).to_legacy())
 
 
 class TestDeterminism:
@@ -60,7 +60,7 @@ class TestLifecycle:
 class TestErlangValidation:
     def test_blocking_probability_tracks_erlang_b(self):
         result = run_scenario("steady-disk", seed=0)
-        config = build_scenario("steady-disk", seed=0)
+        config = build_service_scenario("steady-disk", seed=0)
         predicted = predicted_blocking(config.workload.arrival_rate,
                                        config.workload.mean_holding,
                                        result.final_capacity)
@@ -97,7 +97,8 @@ class TestFailureInjection:
                  if e.kind is SessionEventKind.DROP]
         assert len(drops) == result.totals["drops"]
         assert drops, "a near-capacity failure must shed someone"
-        failure_time = build_scenario("device-failure").failures[0].time
+        failure_time = build_service_scenario(
+            "device-failure").timeline.failures[0].time
         assert all(e.time >= failure_time for e in drops)
         assert all(e.reason for e in drops)
 
@@ -110,8 +111,8 @@ class TestFailureInjection:
 class TestAdaptivePlacement:
     def test_drift_triggers_migrations(self):
         result = run_scenario("adaptive-cache", seed=4)
-        config = build_scenario("adaptive-cache", seed=4)
-        first_drift = min(d.time for d in config.drifts)
+        config = build_service_scenario("adaptive-cache", seed=4)
+        first_drift = min(d.time for d in config.timeline.drifts)
         later = [m for m in result.migrations if m.time > first_drift]
         assert later, "popularity drift must cause re-placements"
         assert any(m.migrations_in for m in later)

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.core.cache_model import CachePolicy
-from repro.core.capacity import streams_supported
 from repro.core.parameters import SystemParameters
 from repro.core.popularity import BimodalPopularity
 from repro.errors import ConfigurationError
+from repro.planner.throughput import streams_supported
 from repro.scheduling.admission import AdmissionController
 from repro.units import GB, KB, MB
 

@@ -32,13 +32,6 @@ class TestScenarioValidation:
         for name in SERVICE_SCENARIOS:
             assert name in message
 
-    def test_legacy_catalog_routes_through_the_same_validator(self):
-        from repro.runtime.scenarios import build_scenario
-
-        with pytest.raises(ConfigurationError,
-                           match="unknown scenario 'flash'"):
-            build_scenario("flash")
-
     def test_cli_unknown_scenario_uses_the_canonical_text(self, capsys):
         assert main(["runtime", "flash"]) == 1
         err = capsys.readouterr().err
@@ -76,16 +69,29 @@ class TestEmitConfig:
     def test_config_run_matches_named_scenario_run(self, capsys, tmp_path):
         config_path = tmp_path / "scenario.json"
         service_json = tmp_path / "service.json"
-        legacy_json = tmp_path / "legacy.json"
+        named_json = tmp_path / "named.json"
         assert main(["runtime", "device-failure", "--emit-config",
                      str(config_path), "--horizon", "1500"]) == 0
         assert main(["runtime", "--config", str(config_path),
                      "--json", str(service_json)]) == 0
         assert main(["runtime", "device-failure", "--horizon", "1500",
-                     "--json", str(legacy_json)]) == 0
+                     "--json", str(named_json)]) == 0
         capsys.readouterr()
         assert (json.loads(service_json.read_text())
-                == json.loads(legacy_json.read_text()))
+                == json.loads(named_json.read_text()))
+
+    def test_config_run_keeps_the_config_seed(self, capsys, tmp_path):
+        config_path = tmp_path / "seeded.json"
+        json_path = tmp_path / "seeded-result.json"
+        assert main(["runtime", "flash_crowd", "--emit-config",
+                     str(config_path), "--seed", "7",
+                     "--horizon", "900"]) == 0
+        assert RuntimeConfig.from_json(config_path.read_text()).seed == 7
+        assert main(["runtime", "--config", str(config_path),
+                     "--json", str(json_path)]) == 0
+        capsys.readouterr()
+        payload = json.loads(json_path.read_text())
+        assert payload["summary"]["notes"]["seed"] == 7
 
     def test_config_excludes_scenario_and_emit(self, capsys, tmp_path):
         path = tmp_path / "x.json"

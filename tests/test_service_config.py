@@ -1,11 +1,14 @@
 """The declarative RuntimeConfig tree: validation, JSON, compilation."""
 
+import copy
+import json
+
 import pytest
 
 from repro.core.parameters import SystemParameters
 from repro.errors import ConfigurationError
 from repro.runtime.failures import FailureKind
-from repro.runtime.scenarios import SCENARIOS
+from repro.runtime.runtime import run_runtime
 from repro.service.backpressure import BackpressureConfig
 from repro.service.config import (
     ControlConfig,
@@ -15,10 +18,12 @@ from repro.service.config import (
     SystemConfig,
     WorkloadConfig,
 )
+from repro.service.facade import MediaService
 from repro.service.scenarios import (
     SERVICE_SCENARIOS,
     build_service_scenario,
 )
+from repro.service.traffic import run_service
 from repro.units import KB, MB
 
 
@@ -32,6 +37,40 @@ def _minimal(**overrides):
             popularity=PopularityConfig(kind="zipf", alpha=1.0)))
     fields.update(overrides)
     return RuntimeConfig(**fields)
+
+
+def _edit(path, value=None, *, drop=False):
+    """A payload edit: set (or delete) the dotted key ``path``."""
+    def apply(payload):
+        *parents, key = path.split(".")
+        node = payload
+        for part in parents:
+            node = node[part]
+        if drop:
+            del node[key]
+        else:
+            node[key] = value
+    return apply
+
+
+#: Malformed payloads (relative to ``_minimal()``, 50 titles) that once
+#: escaped as KeyError / TypeError / ValueError or failed only mid-run.
+_MALFORMED = {
+    "missing-popularity": _edit("workload.popularity", drop=True),
+    "missing-arrival-rate": _edit("workload.arrival_rate", drop=True),
+    "missing-bit-rate": _edit("system.bit_rate", drop=True),
+    "failure-without-time": _edit("timeline.failures",
+                                  [{"kind": "device_loss"}]),
+    "drift-without-shift": _edit("timeline.drifts", [{"time": 10.0}]),
+    "unknown-failure-kind": _edit("timeline.failures",
+                                  [{"time": 10.0, "kind": "meteor"}]),
+    "string-horizon": _edit("horizon", "10"),
+    "null-control": _edit("control", None),
+    "scalar-failures": _edit("timeline.failures", 5),
+    "string-seed": _edit("seed", "abc"),
+    "focus-outside-catalogue": _edit(
+        "timeline.focuses", [{"time": 10.0, "title": 50, "weight": 0.5}]),
+}
 
 
 class TestValidation:
@@ -106,6 +145,14 @@ class TestSerialization:
         with pytest.raises(ConfigurationError, match="workload"):
             RuntimeConfig.from_dict(payload)
 
+    @pytest.mark.parametrize("edit", list(_MALFORMED.values()),
+                             ids=list(_MALFORMED))
+    def test_malformed_payload_is_a_configuration_error(self, edit):
+        payload = json.loads(_minimal().to_json())
+        edit(payload)
+        with pytest.raises(ConfigurationError):
+            RuntimeConfig.from_json(json.dumps(payload))
+
     def test_rejects_non_json_text(self):
         with pytest.raises(ConfigurationError, match="JSON"):
             RuntimeConfig.from_json("{not json")
@@ -133,28 +180,27 @@ class TestSerialization:
 
 
 class TestCompilation:
-    @pytest.mark.parametrize("name", sorted(SERVICE_SCENARIOS))
-    def test_to_legacy_matches_the_shim_factories(self, name):
-        declarative = build_service_scenario(name, seed=5, horizon=2_500.0)
-        legacy = SCENARIOS[name](seed=5, horizon=2_500.0)
-        compiled = declarative.to_legacy()
-        assert compiled.params == legacy.params
-        assert compiled.configuration == legacy.configuration
-        assert compiled.dram_budget == legacy.dram_budget
-        assert compiled.failures == legacy.failures
-        assert compiled.drifts == legacy.drifts
-        assert compiled.surges == legacy.surges
-        assert compiled.focuses == legacy.focuses
-        assert compiled.seed == legacy.seed
-
-    @pytest.mark.parametrize("name", sorted(SERVICE_SCENARIOS))
-    def test_from_legacy_round_trips(self, name):
-        declarative = build_service_scenario(name, seed=2, horizon=2_000.0)
-        lifted = RuntimeConfig.from_legacy(declarative.to_legacy())
-        assert lifted == declarative
-
     def test_replace_returns_an_updated_copy(self):
         config = _minimal()
         faster = config.replace(horizon=500.0)
         assert faster.horizon == 500.0
         assert config.horizon == 1_000.0
+
+
+class TestRunsLeaveTheConfigUnchanged:
+    @pytest.mark.parametrize(
+        "name", ["device-failure", "flash_crowd", "diurnal_drift"])
+    def test_no_run_path_mutates_its_config(self, name):
+        # Drift, surge and focus events change the compiled workload in
+        # place; each run must compile its own, leaving the tree as is.
+        config = build_service_scenario(name, seed=3, horizon=1_500.0)
+        snapshot = copy.deepcopy(config)
+        first = run_service(config).to_json(indent=None)
+        assert config == snapshot
+        service = MediaService(config)
+        service.reconfigure(dram_budget=config.dram_budget / 2,
+                            rate_factor=2.0, popularity_shift=7)
+        assert config == snapshot
+        run_runtime(config.to_legacy())
+        assert config == snapshot
+        assert run_service(config).to_json(indent=None) == first

@@ -1,12 +1,13 @@
-"""Parity harness: the service path is byte-identical to the legacy loop.
+"""Parity harness: the service facade is byte-identical to the engine loop.
 
-The tentpole guarantee of the control-plane refactor: driving every
-named scenario through ``MediaService`` + ``TrafficProgram`` (built
-from the declarative :class:`RuntimeConfig`) produces the *same JSON
-document* as the pre-refactor ``run_runtime`` loop — same admissions,
-same rejections, same metrics, same seq numbers.  Horizons are trimmed
-for test-suite speed; the CLI smoke step in CI re-proves one scenario
-at a longer horizon.
+Driving every named scenario through ``MediaService`` +
+``TrafficProgram`` (built from the declarative :class:`RuntimeConfig`)
+produces the *same JSON document* as the ``run_runtime`` engine loop
+on the compiled config — same admissions, same rejections, same
+metrics, same seq numbers.  Horizons are trimmed for test-suite speed;
+the CLI smoke step in CI re-proves one scenario at a longer horizon.
+The object-vs-table session-core comparison of the same harness is
+exercised in ``tests/test_session_table.py``.
 """
 
 import pytest
@@ -15,7 +16,7 @@ from repro.errors import ConfigurationError
 from repro.runtime.runtime import run_runtime
 from repro.service.config import ControlConfig
 from repro.service.parity import (
-    compare_config,
+    ParityReport,
     compare_scenario,
     verify_all,
 )
@@ -60,15 +61,14 @@ class TestParity:
         # Same scenario, different seeds: a real divergence the report
         # must localize rather than just flag.
         base = build_service_scenario("steady-disk", horizon=1_500.0)
-        legacy_json = run_runtime(base.to_legacy()).to_json(indent=None)
-        other = base.replace(seed=9)
-        report = compare_config("steady-disk", other)
-        report = type(report)(name="steady-disk", matches=False,
-                              legacy_json=legacy_json,
-                              service_json=report.service_json)
+        report = ParityReport(
+            name="steady-disk", labels=("engine", "facade"),
+            left_json=run_runtime(base.to_legacy()).to_json(indent=None),
+            right_json=run_service(base.replace(seed=9)).to_json(indent=None))
+        assert not report.matches
         divergence = report.first_divergence()
         assert "at byte" in divergence
-        assert "legacy" in divergence and "service" in divergence
+        assert "engine" in divergence and "facade" in divergence
 
     def test_timeline_events_fire_identically(self):
         # The scenario whose timeline carries every event family.

@@ -16,24 +16,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.runtime.parity import (
-    compare_config,
-    run_both_cores,
-    verify_all_cores,
-)
 from repro.runtime.runtime import FocusEvent
 from repro.runtime.sessions import SessionSampler, SessionTable
 from repro.service import scenarios as service_scenarios
 from repro.service.config import WorkloadConfig
 from repro.service.facade import MediaService
+from repro.service.parity import (
+    compare_cores,
+    run_both_cores,
+    verify_all_cores,
+)
 
 
 def _random_config(base_name, workload, *, seed, horizon):
-    """A legacy RuntimeConfig with the given declarative workload."""
+    """A named scenario's config with the given workload swapped in."""
     factory = getattr(service_scenarios, base_name)
-    declarative = factory(seed=seed, horizon=horizon)
-    return dataclasses.replace(
-        declarative, workload=workload, horizon=horizon).to_legacy()
+    return factory(seed=seed, horizon=horizon).replace(workload=workload)
 
 
 def _popularity(spec):
@@ -61,7 +59,7 @@ class TestRandomWorkloadParity:
            base=st.sampled_from(["steady_disk", "adaptive_cache"]))
     def test_cores_agree_on_random_workloads(self, workload, seed, base):
         config = _random_config(base, workload, seed=seed, horizon=400.0)
-        report = compare_config("random", config)
+        report = compare_cores("random", config)
         # Byte-identical result JSON: every admit/reject/teardown in
         # the event log, every counter, every gauge sample.
         assert report.matches, report.first_divergence()
@@ -88,7 +86,7 @@ class TestEdgeShapes:
             WorkloadConfig(arrival_rate=0.8, mean_holding=10.0,
                            n_titles=5, popularity=_popularity("uniform")),
             seed=3, horizon=500.0)
-        report = compare_config("zero-holds", config)
+        report = compare_cores("zero-holds", config)
         assert report.matches, report.first_divergence()
         _, table = run_both_cores(config)
         totals = table.totals
@@ -117,18 +115,20 @@ class TestEdgeShapes:
             WorkloadConfig(arrival_rate=1.5, mean_holding=10.0,
                            n_titles=8, popularity=_popularity("zipf-0.8")),
             seed=11, horizon=600.0)
-        report = compare_config("equal-holds", config)
+        report = compare_cores("equal-holds", config)
         assert report.matches, report.first_divergence()
 
     def test_focus_title_mid_run(self):
-        config = _random_config(
+        base = _random_config(
             "adaptive_cache",
             WorkloadConfig(arrival_rate=1.0, mean_holding=80.0,
                            n_titles=12, popularity=_popularity("zipf-0.8")),
             seed=7, horizon=900.0)
-        config.focuses = (FocusEvent(time=300.0, title=2, weight=0.7),
-                          FocusEvent(time=600.0, title=2, weight=0.0))
-        report = compare_config("focus-mid-run", config)
+        config = base.replace(timeline=dataclasses.replace(
+            base.timeline,
+            focuses=(FocusEvent(time=300.0, title=2, weight=0.7),
+                     FocusEvent(time=600.0, title=2, weight=0.0))))
+        report = compare_cores("focus-mid-run", config)
         assert report.matches, report.first_divergence()
         _, table = run_both_cores(config)
         assert table.totals["arrivals"] > 0
