@@ -26,7 +26,14 @@ warm-start replay must be bit-reproducible):
   :func:`repro.perf.parallel.sweep_map`, whose items carry explicit
   seeds and whose ordered gathering keeps results byte-identical to a
   serial run.  ``parallel.py``'s own pool carries the reviewed
-  suppression.
+  suppression;
+* builtin ``sum()`` over anything not provably integer — from Python
+  3.12 it adds floats with Neumaier compensation, so a float sum's
+  bits depend on the interpreter.  Float sums go through
+  :func:`repro.core.summation.sequential_sum`.  A ``sum`` passes when
+  its items are an int literal (``sum(1 for ...)``), a ``len(...)``
+  call, or one of the :data:`INT_COUNT_NAMES` attributes, or when it
+  sums the ``.values()`` of a mapping named there.
 """
 
 from __future__ import annotations
@@ -63,6 +70,35 @@ POOL_CONSTRUCTORS = frozenset({
     "multiprocessing.pool.ThreadPool",
     "multiprocessing.dummy.Pool",
 })
+
+
+#: Attribute names that hold integer counts in the seeded layers (or,
+#: for ``counts``, a mapping of them): summing them is exact on every
+#: interpreter, so ``sum()`` over them is not flagged.
+INT_COUNT_NAMES = frozenset({"counts", "n_sessions", "pending_finalized"})
+
+
+def _is_int_item(node: ast.expr) -> bool:
+    """True when ``node`` provably evaluates to an int."""
+    if isinstance(node, ast.Constant):
+        return type(node.value) is int
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Name) and node.func.id == "len"
+    return isinstance(node, ast.Attribute) and node.attr in INT_COUNT_NAMES
+
+
+def _sums_ints(call: ast.Call) -> bool:
+    """True when a builtin ``sum(...)`` call provably adds integers."""
+    if len(call.args) != 1 or call.keywords:
+        return False
+    (items,) = call.args
+    if isinstance(items, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
+        return _is_int_item(items.elt)
+    # ``sum(x.counts.values())``: the values of a named count mapping.
+    return (isinstance(items, ast.Call) and not items.args
+            and isinstance(items.func, ast.Attribute)
+            and items.func.attr == "values"
+            and _is_int_item(items.func.value))
 
 
 def _dotted(node: ast.expr) -> list[str] | None:
@@ -102,8 +138,9 @@ class DeterminismChecker(Checker):
     """Flag wall-clock reads and global-RNG use in the seeded layers."""
 
     rule = "determinism"
-    description = ("no wall clocks or global RNG state in the seeded "
-                   "layers (scoped via config); inject a seeded Generator")
+    description = ("no wall clocks, global RNG state or builtin float "
+                   "sum() in the seeded layers (scoped via config)")
+    version = 2
 
     def check(self, tree: ast.Module, source: str,
               path: Path) -> Iterator[Finding]:
@@ -112,6 +149,14 @@ class DeterminismChecker(Checker):
         aliases = imports.aliases
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
+                continue
+            if (isinstance(node.func, ast.Name) and node.func.id == "sum"
+                    and "sum" not in aliases and not _sums_ints(node)):
+                yield self.finding(
+                    path, node,
+                    "builtin sum() over floats depends on the Python "
+                    "version (3.12 compensates); use "
+                    "repro.core.summation.sequential_sum")
                 continue
             parts = _dotted(node.func)
             if parts is None:

@@ -150,7 +150,8 @@ DEFAULT_SCOPES: tuple[tuple[str, ScopeSpec], ...] = (
     ("determinism", ScopeSpec(
         dirs=("simulation", "runtime", "workloads", "perf", "vod",
               "service"),
-        files=("planner/incremental.py", "planner/batch.py"))),
+        files=("planner/incremental.py", "planner/batch.py",
+               "core/popularity.py"))),
     ("float-equality", ScopeSpec(
         dirs=("core", "planner", "experiments", "vod", "service"),
         files=("benchmarks/regress.py",))),

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.summation import prefix_sums, sequential_sum
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
     "PopularityDistribution",
     "UniformPopularity",
     "ZipfPopularity",
+    "checked_prior",
     "paper_distributions",
 ]
 
@@ -165,7 +167,6 @@ class ZipfPopularity(PopularityDistribution):
         return float(self._weights()[rank - 1])
 
 
-@dataclass(frozen=True)
 class EmpiricalPopularity(PopularityDistribution):
     """Hit-rate map fitted to observed per-title access counts.
 
@@ -178,23 +179,41 @@ class EmpiricalPopularity(PopularityDistribution):
     A partially cached marginal title is counted proportionally, making
     ``hit_rate`` continuous and monotone with ``hit_rate(0) = 0`` and
     ``hit_rate(1) = 1``.
+
+    The shares live in one read-only float64 array.  Construction also
+    stores their left-to-right prefix sums
+    (:func:`~repro.core.summation.prefix_sums`) and a hash of their
+    canonical bytes, so validation is one pass of array work,
+    ``hit_rate`` is O(1), and the planner's cache keys hash and compare
+    in O(1) / one array comparison instead of O(titles) Python.  The
+    instance is immutable; ``weights`` builds a tuple of floats on
+    demand.  Every value is bit-identical to summing the shares with
+    the uncompensated builtin ``sum`` of Python <= 3.11.
     """
 
-    weights: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not self.weights:
-            raise ConfigurationError("weights must be non-empty")
-        if any(w < 0 for w in self.weights):
+    def __init__(self, weights) -> None:
+        shares = np.array(weights, dtype=float)
+        if shares.ndim != 1 or not shares.size:
+            raise ConfigurationError(
+                "weights must be a non-empty 1-D sequence")
+        if not np.isfinite(shares).all():
+            raise ConfigurationError("weights must be finite")
+        if (shares < 0).any():
             raise ConfigurationError("weights must be >= 0")
-        if any(b > a + 1e-12 for a, b in zip(self.weights,
-                                             self.weights[1:])):
+        if (shares[1:] > shares[:-1] + 1e-12).any():
             raise ConfigurationError(
                 "weights must be sorted most-popular-first")
-        total = sum(self.weights)
+        prefix = prefix_sums(shares)
+        total = float(prefix[-1])
         if not math.isclose(total, 1.0, rel_tol=1e-9, abs_tol=1e-12):
             raise ConfigurationError(
                 f"weights must sum to 1, got {total!r}")
+        shares.flags.writeable = False
+        prefix.flags.writeable = False
+        object.__setattr__(self, "_shares", shares)
+        object.__setattr__(self, "_prefix", prefix)
+        # ``+ 0.0`` maps -0.0 to 0.0, so the hash agrees with ``==``.
+        object.__setattr__(self, "_hash", hash((shares + 0.0).tobytes()))
 
     @classmethod
     def from_counts(cls, counts) -> "EmpiricalPopularity":
@@ -203,25 +222,75 @@ class EmpiricalPopularity(PopularityDistribution):
         All-zero counts degrade to the uniform distribution — a cold
         server has no popularity signal yet.
         """
-        values = sorted((float(c) for c in counts), reverse=True)
-        if not values:
-            raise ConfigurationError("counts must be non-empty")
-        if any(v < 0 for v in values):
+        values = np.asarray(counts if isinstance(counts, np.ndarray)
+                            else list(counts), dtype=float)
+        if values.ndim != 1 or not values.size:
+            raise ConfigurationError(
+                "counts must be a non-empty 1-D sequence")
+        if not np.isfinite(values).all():
+            raise ConfigurationError("counts must be finite")
+        if (values < 0).any():
             raise ConfigurationError("counts must be >= 0")
-        total = sum(values)
+        # Stable descending order: equal counts keep their input order,
+        # exactly as ``sorted(..., reverse=True)`` does.
+        values = values[np.argsort(-values, kind="stable")]
+        total = sequential_sum(values)
         if total <= 0:
-            return cls(weights=(1.0 / len(values),) * len(values))
-        return cls(weights=tuple(v / total for v in values))
+            return cls(weights=np.full(values.size, 1.0 / values.size))
+        return cls(weights=values / total)
+
+    @property
+    def weights(self) -> tuple[float, ...]:
+        """The sorted access shares, as a tuple of floats."""
+        return tuple(self._shares.tolist())
 
     def hit_rate(self, cached_fraction: float) -> float:
         p = self._check_fraction(cached_fraction)
-        scaled = p * len(self.weights)
+        n_titles = self._shares.size
+        scaled = p * n_titles
         n_whole = int(math.floor(scaled + 1e-9))
-        head = sum(self.weights[:n_whole])
+        head = float(self._prefix[n_whole - 1]) if n_whole else 0.0
         remainder = scaled - n_whole
-        if n_whole < len(self.weights) and remainder > 1e-9:
-            head += remainder * self.weights[n_whole]
+        if n_whole < n_titles and remainder > 1e-9:
+            head += remainder * float(self._shares[n_whole])
         return min(head, 1.0)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._hash == other._hash
+                and np.array_equal(self._shares, other._shares))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return (type(self), (self._shares,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(weights={self.weights!r})"
+
+
+def checked_prior(prior_weights, n_titles: int) -> np.ndarray:
+    """``prior_weights`` as a float array, checked at the boundary.
+
+    A prior must be one finite, non-negative weight per title; a NaN or
+    negative entry would otherwise surface only at the first replan, as
+    a misleading normalisation error.
+    """
+    prior = np.asarray(prior_weights, dtype=float)
+    if prior.shape != (n_titles,):
+        raise ConfigurationError(
+            f"prior_weights must have shape ({n_titles},), "
+            f"got {prior.shape}")
+    if not np.isfinite(prior).all():
+        raise ConfigurationError("prior_weights must be finite")
+    if (prior < 0).any():
+        raise ConfigurationError("prior_weights must be >= 0")
+    return prior
 
 
 #: The popularity distributions swept in Figures 9 and 10 of the paper.

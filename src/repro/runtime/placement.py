@@ -32,7 +32,7 @@ from repro.core.cache_model import (
     cache_capacity_fraction,
 )
 from repro.core.parameters import SystemParameters
-from repro.core.popularity import EmpiricalPopularity
+from repro.core.popularity import EmpiricalPopularity, checked_prior
 from repro.errors import ConfigurationError
 from repro.planner.batch import demand_at
 from repro.planner.configuration import Configuration
@@ -84,14 +84,11 @@ class AdaptivePlacement:
         # instead of an arbitrary one.
         self._scores = np.zeros(n_titles)
         if prior_weights is not None:
-            prior = np.asarray(prior_weights, dtype=float)
-            if prior.shape != (n_titles,):
-                raise ConfigurationError(
-                    f"prior_weights must have shape ({n_titles},), "
-                    f"got {prior.shape}")
-            self._scores += prior_strength * prior
+            self._scores += prior_strength * checked_prior(prior_weights,
+                                                           n_titles)
         self._epoch_counts = np.zeros(n_titles)
         self._cached: tuple[int, ...] = ()
+        self._cached_mask = np.zeros(n_titles, dtype=bool)
         self._planner = planner if planner is not None else default_planner()
         # Last epoch's capacity, threaded into the next epoch's solve as
         # a warm-start hint.  Popularity drift gives every epoch a fresh
@@ -189,11 +186,10 @@ class AdaptivePlacement:
                                            params.size_disk)
         n_cacheable = int(np.floor(fraction * self.n_titles + 1e-9))
         # Stable ranking: higher score first, lower title id on ties.
-        ranked = sorted(range(self.n_titles),
-                        key=lambda t: (-self._scores[t], t))
-        new_cached = tuple(sorted(ranked[:n_cacheable]))
-        old = set(self._cached)
-        new = set(new_cached)
+        ranked = np.argsort(-self._scores, kind="stable")
+        new_mask = np.zeros(self.n_titles, dtype=bool)
+        new_mask[ranked[:n_cacheable]] = True
+        old_mask = self._cached_mask
         capacity: int | None = None
         if dram_budget is not None:
             capacity = self._planner.capacity(
@@ -202,11 +198,17 @@ class AdaptivePlacement:
             self._capacity_hint = capacity
         decision = PlacementDecision(
             policy=best_policy,
-            cached_titles=new_cached,
-            migrations_in=tuple(sorted(new - old)),
-            migrations_out=tuple(sorted(old - new)),
+            cached_titles=_titles(new_mask),
+            migrations_in=_titles(new_mask & ~old_mask),
+            migrations_out=_titles(old_mask & ~new_mask),
             popularity=popularity,
             design=best_design,
             capacity=capacity)
-        self._cached = new_cached
+        self._cached = decision.cached_titles
+        self._cached_mask = new_mask
         return decision
+
+
+def _titles(mask: np.ndarray) -> tuple[int, ...]:
+    """The titles a boolean mask selects, ascending, as Python ints."""
+    return tuple(np.flatnonzero(mask).tolist())

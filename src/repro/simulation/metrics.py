@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.core.summation import sequential_sum
 from repro.simulation.streams import StreamBuffer, UnderflowInterval
 
 #: Re-exported with the report for convenience.
@@ -68,7 +69,7 @@ class SimulationReport:
     @property
     def total_underflow_time(self) -> float:
         """Summed starvation seconds across streams."""
-        return sum(u.duration for u in self.underflows)
+        return sequential_sum(u.duration for u in self.underflows)
 
     def utilization(self, resource: str) -> float:
         """Busy fraction of a resource over the horizon."""
@@ -97,7 +98,7 @@ def summarize_streams(buffers: list[StreamBuffer],
         min_level = min(min_level, buffer.min_level)
         peak_level = max(peak_level, buffer.peak_level)
     for buffer in buffers:
-        deficit = sum(u.deficit for u in buffer.underflows)
+        deficit = sequential_sum(u.deficit for u in buffer.underflows)
         if buffer.playing and buffer.playback_start is not None:
             played = max(0.0, horizon - buffer.playback_start)
             delivered += buffer.bit_rate * played - deficit

@@ -32,6 +32,7 @@ import numpy as np
 from repro.core.buffer_model import BufferDesign
 from repro.core.cache_model import CacheDesign, CachePolicy
 from repro.core.parameters import SystemParameters
+from repro.core.summation import sequential_sum
 from repro.devices.disk import DiskDrive
 from repro.errors import ConfigurationError, SimulationError, require
 from repro.scheduling.time_cycle import (
@@ -159,7 +160,8 @@ class _MemsStore:
     def deposit(self, stream_id: int, device: int, n_bytes: float) -> None:
         self.per_stream[stream_id] += n_bytes
         self.per_device[device] += n_bytes
-        self.peak_occupancy = max(self.peak_occupancy, sum(self.per_device))
+        self.peak_occupancy = max(self.peak_occupancy,
+                                  sequential_sum(self.per_device))
 
     def withdraw(self, stream_id: int, device: int, n_bytes: float) -> float:
         """Take up to ``n_bytes`` of the stream's staged data."""
@@ -434,7 +436,8 @@ def simulate_buffer_pipeline(design: BufferDesign, *,
         for d in range(k):
             drain_backlog(d, cycle_end, cycle_busy)
             mems_usage[d].record_cycle(cycle_busy[d], schedule.t_mems or 0.0)
-        pending = sum(entry["remaining"] for q in backlog for entry in q)
+        pending = sequential_sum(entry["remaining"]
+                                 for q in backlog for entry in q)
         max_backlog_bytes = max(max_backlog_bytes, pending)
 
     # Let the devices finish any residual backlog after the last cycle
@@ -585,7 +588,7 @@ def simulate_cache_pipeline(design: CacheDesign, *,
         resources.update(r.resources)
     return SimulationReport(
         horizon=horizon,
-        bytes_delivered=sum(r.bytes_delivered for r in reports),
+        bytes_delivered=sequential_sum(r.bytes_delivered for r in reports),
         underflows=sorted((u for r in reports for u in r.underflows),
                           key=lambda u: u.start),
         resources=resources,

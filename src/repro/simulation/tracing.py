@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.core.buffer_model import BufferDesign
+from repro.core.summation import sequential_sum
 from repro.errors import ConfigurationError, SchedulingError, require
 from repro.scheduling.time_cycle import (
     OperationKind,
@@ -67,7 +68,8 @@ class ScheduleTrace:
 
     def busy_time(self, lane: str) -> float:
         """Total busy seconds on a lane."""
-        return sum(s.end - s.start for s in self.segments if s.lane == lane)
+        return sequential_sum(s.end - s.start for s in self.segments
+                              if s.lane == lane)
 
     def render(self, *, width: int = 76) -> str:
         """ASCII Gantt: one row per lane, one column per time slice.

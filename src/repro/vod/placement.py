@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.core.cache_model import CachePolicy
 from repro.core.parameters import SystemParameters
-from repro.core.popularity import EmpiricalPopularity
+from repro.core.popularity import EmpiricalPopularity, checked_prior
 from repro.errors import ConfigurationError
 from repro.planner.batch import demand_at
 from repro.planner.configuration import Configuration
@@ -123,12 +123,8 @@ class PrefixPlacement:
         self.window_cap = window_cap
         self._scores = np.zeros(n_titles)
         if prior_weights is not None:
-            prior = np.asarray(prior_weights, dtype=float)
-            if prior.shape != (n_titles,):
-                raise ConfigurationError(
-                    f"prior_weights must have shape ({n_titles},), "
-                    f"got {prior.shape}")
-            self._scores += prior_strength * prior
+            self._scores += prior_strength * checked_prior(prior_weights,
+                                                           n_titles)
         self._epoch_counts = np.zeros(n_titles)
         self._replacement = AdaptiveReplacement(hysteresis=hysteresis)
         self._allocation: PrefixAllocation | None = None
@@ -291,15 +287,16 @@ class PrefixPlacement:
 def _diff(previous: PrefixAllocation | None, current: PrefixAllocation
           ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Promotions, demotions and resizes between two allocations."""
-    old = set(previous.resident_titles) if previous is not None else set()
-    new = set(current.resident_titles)
-    promoted = tuple(sorted(new - old))
-    demoted = tuple(sorted(old - new))
-    resized: list[int] = []
-    if previous is not None:
-        tolerance = 1e-9 * current.title_bytes
-        for title in sorted(old & new):
-            if abs(previous.prefix_bytes[title]
-                   - current.prefix_bytes[title]) > tolerance:
-                resized.append(title)
-    return promoted, demoted, tuple(resized)
+    if previous is None:
+        return current.resident_titles, (), ()
+    old = previous.sizes > 0
+    new = current.sizes > 0
+    tolerance = 1e-9 * current.title_bytes
+    moved = np.abs(previous.sizes - current.sizes) > tolerance
+    return (_titles(new & ~old), _titles(old & ~new),
+            _titles(old & new & moved))
+
+
+def _titles(mask: np.ndarray) -> tuple[int, ...]:
+    """The titles a boolean mask selects, ascending, as Python ints."""
+    return tuple(np.flatnonzero(mask).tolist())

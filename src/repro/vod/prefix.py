@@ -21,8 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.parameters import SystemParameters
 from repro.core.startup import direct_startup
+from repro.core.summation import sequential_sum
 from repro.errors import ConfigurationError, require
 
 #: Startup-latency sizing caps the reference population at this disk
@@ -69,6 +72,11 @@ class PrefixAllocation:
     title is not resident at all); every resident prefix is clamped to
     the whole title.  Titles are modelled equal-sized (``title_bytes``
     each), matching the scenario library model.
+
+    Construction also keeps the residencies as one read-only float64
+    array and the resident title set, so an epoch's allocation is
+    checked, summed and diffed with array work instead of per-title
+    Python.
     """
 
     prefix_bytes: tuple[float, ...]
@@ -80,26 +88,37 @@ class PrefixAllocation:
         if self.title_bytes <= 0:
             raise ConfigurationError(
                 f"title_bytes must be > 0, got {self.title_bytes!r}")
-        for title, size in enumerate(self.prefix_bytes):
-            if size < 0 or size > self.title_bytes * (1 + 1e-9):
-                raise ConfigurationError(
-                    f"prefix of title {title} must be in "
-                    f"[0, {self.title_bytes!r}], got {size!r}")
+        sizes = np.array(self.prefix_bytes, dtype=float)
+        # ``not >= 0`` also catches NaN, which no bound comparison does.
+        bad = ~(sizes >= 0) | (sizes > self.title_bytes * (1 + 1e-9))
+        if bad.any():
+            title = int(np.flatnonzero(bad)[0])
+            raise ConfigurationError(
+                f"prefix of title {title} must be in "
+                f"[0, {self.title_bytes!r}], got {self.prefix_bytes[title]!r}")
+        sizes.flags.writeable = False
+        object.__setattr__(self, "_sizes", sizes)
+        object.__setattr__(self, "_resident", tuple(
+            np.flatnonzero(sizes > 0).tolist()))
 
     @property
     def n_titles(self) -> int:
         return len(self.prefix_bytes)
 
     @property
+    def sizes(self) -> np.ndarray:
+        """``prefix_bytes`` as a read-only float64 array."""
+        return self._sizes
+
+    @property
     def resident_titles(self) -> tuple[int, ...]:
         """Titles with any resident prefix, sorted by id."""
-        return tuple(t for t, size in enumerate(self.prefix_bytes)
-                     if size > 0)
+        return self._resident
 
     @property
     def total_bytes(self) -> float:
         """MEMS bytes the allocation occupies."""
-        return float(sum(self.prefix_bytes))
+        return sequential_sum(self._sizes)
 
     def byte_fraction(self, title: int) -> float:
         """Resident fraction of one title's bytes, in [0, 1]."""
@@ -124,17 +143,18 @@ class PrefixAllocation:
         MEMS-resident is ``sum_t w_t * prefix_t / title_bytes`` — the
         ``h`` the prefix demand model of the planner consumes.
         """
-        values = [float(w) for w in weights]
-        if len(values) != self.n_titles:
+        values = np.asarray(weights, dtype=float)
+        if values.shape != (self.n_titles,):
             raise ConfigurationError(
                 f"weights must have length {self.n_titles}, "
-                f"got {len(values)}")
-        if any(w < 0 for w in values):
+                f"got {values.size}")
+        if not np.isfinite(values).all():
+            raise ConfigurationError("weights must be finite")
+        if (values < 0).any():
             raise ConfigurationError("weights must be >= 0")
-        total = sum(values)
+        total = sequential_sum(values)
         if not math.isclose(total, 1.0, rel_tol=1e-6, abs_tol=1e-9):
             raise ConfigurationError(
                 f"weights must sum to 1, got {total!r}")
-        share = sum(w * self.byte_fraction(t)
-                    for t, w in enumerate(values))
-        return min(share, 1.0)
+        fractions = np.minimum(self._sizes / self.title_bytes, 1.0)
+        return min(sequential_sum(values * fractions), 1.0)

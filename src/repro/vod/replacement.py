@@ -20,6 +20,8 @@ from __future__ import annotations
 from collections.abc import Collection
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 
 from repro.vod.prefix import PrefixAllocation
@@ -55,10 +57,13 @@ class AdaptiveReplacement:
         it — a shorter residue could not even hide startup, so it stays
         on the bank unspent rather than buying a useless stub.
         """
-        values = [float(s) for s in scores]
-        if not values:
-            raise ConfigurationError("scores must be non-empty")
-        if any(s < 0 for s in values):
+        values = np.array(scores, dtype=float)
+        if values.ndim != 1 or not values.size:
+            raise ConfigurationError(
+                "scores must be a non-empty 1-D sequence")
+        if not np.isfinite(values).all():
+            raise ConfigurationError("scores must be finite")
+        if (values < 0).any():
             raise ConfigurationError("scores must be >= 0")
         if base_bytes <= 0:
             raise ConfigurationError(
@@ -70,23 +75,25 @@ class AdaptiveReplacement:
         if budget_bytes < 0:
             raise ConfigurationError(
                 f"budget_bytes must be >= 0, got {budget_bytes!r}")
-        sticky = set(resident)
-        bonus = 1.0 + self.hysteresis
-
-        def effective(title: int) -> float:
-            score = values[title]
-            return score * bonus if title in sticky else score
+        sticky = np.fromiter(resident, dtype=np.intp)
+        if sticky.size and not (0 <= sticky.min()
+                                and sticky.max() < values.size):
+            raise ConfigurationError(
+                f"resident titles must be in [0, {values.size})")
+        # ``values`` is this call's own copy: the bonus stays local.
+        values[sticky] *= 1.0 + self.hysteresis
 
         # Stable ranking: higher effective score first, lower id on ties.
-        ranked = sorted(range(len(values)),
-                        key=lambda t: (-effective(t), t))
-        prefix = [0.0] * len(values)
+        ranked = np.argsort(-values, kind="stable")
+        prefix = np.zeros(values.size)
         remaining = budget_bytes
-        for title in ranked:
+        # Only the resident head is walked: the loop ends at the first
+        # title the residue cannot give a base prefix.
+        for title in ranked.tolist():
             if remaining < base_bytes:
                 break
             give = min(max_bytes, remaining)
             prefix[title] = give
             remaining -= give
-        return PrefixAllocation(prefix_bytes=tuple(prefix),
+        return PrefixAllocation(prefix_bytes=tuple(prefix.tolist()),
                                 title_bytes=title_bytes)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.summation import sequential_sum
 from repro.errors import ConfigurationError
 from repro.workloads.bitrates import MediaType
 
@@ -92,7 +93,7 @@ class StreamSet:
     @property
     def catalog_size(self) -> float:
         """Total catalog bytes (the paper's ``Size_disk``)."""
-        return sum(t.size for t in self.catalog)
+        return sequential_sum(t.size for t in self.catalog)
 
     @property
     def average_bit_rate(self) -> float:
@@ -100,7 +101,7 @@ class StreamSet:
         if not self.requests:
             raise ConfigurationError("no streams in the set")
         rates = [self.catalog[r].media.bit_rate for r in self.requests]
-        return sum(rates) / len(rates)
+        return sequential_sum(rates) / len(rates)
 
     def streams_hitting_prefix(self, cached_titles: int) -> int:
         """Streams whose title is among the ``cached_titles`` top ranks.

@@ -125,6 +125,19 @@ class TestDeterminism:
         found = findings_for("planner/incremental.py", rule="determinism")
         assert not any("perf_counter" in f.message for f in found)
 
+    def test_flags_builtin_float_sums(self):
+        found = findings_for("runtime/float_sum.py", rule="determinism")
+        # Only the float sums; int literals, len() and the listed count
+        # attributes provably add integers and pass.
+        assert [f.line for f in found] == [9, 10, 11]
+        assert all("sequential_sum" in f.message for f in found)
+        assert all("3.12" in f.message for f in found)
+
+    def test_popularity_is_file_scoped(self):
+        checker = get_checker("determinism")
+        assert checker.applies_to(Path("src/repro/core/popularity.py"))
+        assert not checker.applies_to(Path("src/repro/core/cache_model.py"))
+
     def test_vod_layer_is_in_scope(self):
         checker = get_checker("determinism")
         assert checker.applies_to(Path("src/repro/vod/multicast.py"))
@@ -280,7 +293,7 @@ class TestEngine:
             "no_bare_assert.py", "wall_clock.py", "unit_literals.py",
             "float_eq.py", "exception_hygiene.py",
             "suppressions.py", "bad_syntax.py", "pool_and_clock.py",
-            "incremental.py", "batch.py"}
+            "incremental.py", "batch.py", "float_sum.py"}
 
     def test_rule_selection_limits_checkers(self):
         found = analyze_paths([FIXTURES / "no_bare_assert.py"],

@@ -6,10 +6,15 @@ admission reconfiguration, the periodic engine helper, bank shrinkage,
 and the time-varying session workload.
 """
 
+import functools
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.cache_model import CachePolicy
+from repro.core.cache_model import CachePolicy, cache_capacity_fraction
 from repro.core.parameters import SystemParameters
 from repro.core.popularity import EmpiricalPopularity, ZipfPopularity
 from repro.devices.bank import BankPolicy, MemsBank
@@ -125,6 +130,95 @@ class TestAdaptivePlacement:
             placement.replan(params, 10.0 + epoch, dram_budget=1 * GB)
         stats = planner.stats()
         assert stats["solves_warm"] > 0
+
+
+def _ref_weights(counts):
+    """The tuple-backed ``EmpiricalPopularity.from_counts`` weights."""
+    values = sorted((float(c) for c in counts), reverse=True)
+    total = functools.reduce(operator.add, values, 0)
+    if total <= 0:
+        return (1.0 / len(values),) * len(values)
+    return tuple(v / total for v in values)
+
+
+def _ref_cached(scores, n_cacheable):
+    """The per-title Python ranking ``replan`` used to run."""
+    ranked = sorted(range(len(scores)), key=lambda t: (-scores[t], t))
+    return tuple(sorted(ranked[:n_cacheable]))
+
+
+#: Per-epoch observation counts: small ints, so ties are the norm.
+_epochs = st.integers(min_value=1, max_value=40).flatmap(
+    lambda n: st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                       min_size=1, max_size=4))
+
+
+class TestPlacementBitIdentity:
+    """``replan``'s vectorized ranking equals the Python reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(epochs=_epochs, decay=st.sampled_from([0.0, 0.5, 0.9]),
+           signed_prior=st.booleans())
+    def test_cached_titles_and_migrations(self, epochs, decay,
+                                          signed_prior):
+        params = SystemParameters.table3_default(
+            n_streams=1, bit_rate=500 * KB, k=2).replace(size_disk=200 * GB)
+        n_titles = len(epochs[0])
+        # A prior of signed zeros and ties: -0.0 must rank like 0.0.
+        prior = np.array([(-0.0 if signed_prior else 0.0) if t % 3
+                          else 1.0 for t in range(n_titles)])
+        placement = AdaptivePlacement(n_titles, decay=decay,
+                                      prior_weights=prior)
+        cached: tuple[int, ...] = ()
+        for counts in epochs:
+            placement.observe_block(np.repeat(np.arange(n_titles), counts))
+            scores = placement.scores().tolist()
+            decision = placement.replan(params, 5.0)
+            fraction = cache_capacity_fraction(
+                decision.policy, params.k, params.size_mems,
+                params.size_disk)
+            expected = _ref_cached(
+                scores, int(np.floor(fraction * n_titles + 1e-9)))
+            assert decision.cached_titles == expected
+            assert decision.migrations_in == tuple(
+                sorted(set(expected) - set(cached)))
+            assert decision.migrations_out == tuple(
+                sorted(set(cached) - set(expected)))
+            assert decision.popularity.weights == _ref_weights(scores)
+            assert all(type(t) is int for t in decision.cached_titles)
+            cached = expected
+
+    def test_ties_rank_by_title_id(self, params):
+        placement = AdaptivePlacement(2000)
+        placement.observe_block(np.arange(2000))  # every title tied
+        decision = placement.replan(params, 5.0)
+        n_cached = len(decision.cached_titles)
+        assert 0 < n_cached < 2000
+        assert decision.cached_titles == tuple(range(n_cached))
+
+
+class TestPriorBoundary:
+    """Bad priors fail when passed in, naming the actual problem."""
+
+    @pytest.mark.parametrize("prior,problem", [
+        ([np.nan, 1.0, 1.0, 1.0], "finite"),
+        ([np.inf, 1.0, 1.0, 1.0], "finite"),
+        ([1.0, -0.5, 1.0, 1.0], ">= 0"),
+        ([1.0, 1.0], "shape"),
+    ])
+    @pytest.mark.parametrize("placement", ["adaptive", "prefix"])
+    def test_bad_prior_is_a_configuration_error(self, placement, prior,
+                                                problem):
+        from repro.vod.placement import PrefixPlacement
+
+        factory = (AdaptivePlacement if placement == "adaptive"
+                   else PrefixPlacement)
+        with pytest.raises(ConfigurationError, match=problem):
+            factory(4, prior_weights=np.array(prior))
+
+    def test_signed_zero_prior_is_accepted(self, params):
+        placement = AdaptivePlacement(3, prior_weights=[1.0, -0.0, 0.0])
+        assert placement.replan(params, 1.0).popularity.weights[0] == 1.0
 
 
 class TestRecoveryPlanning:

@@ -1,8 +1,13 @@
 """Unit tests for the VoD prefix-caching subsystem (`repro.vod`)."""
 
+import functools
 import math
+import operator
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cache_model import CachePolicy, cache_buffer
 from repro.core.parameters import SystemParameters
@@ -457,6 +462,154 @@ class TestPrefixPlacement:
             placement.replan(_params(), -1.0)
         with pytest.raises(ConfigurationError):
             placement.is_resident(-1)
+
+
+# -- references: the per-title Python loops the array paths replaced ----
+# The sums fold with ``functools.reduce(operator.add, ..., 0)``, which
+# never compensates, so the references hold on every Python.
+
+def _ref_sum(values):
+    return functools.reduce(operator.add, values, 0)
+
+
+def _ref_rebalance(scores, *, hysteresis, base_bytes, max_bytes,
+                   budget_bytes, resident):
+    values = [float(s) for s in scores]
+    sticky = set(resident)
+    bonus = 1.0 + hysteresis
+
+    def effective(title):
+        score = values[title]
+        return score * bonus if title in sticky else score
+
+    ranked = sorted(range(len(values)), key=lambda t: (-effective(t), t))
+    prefix = [0.0] * len(values)
+    remaining = budget_bytes
+    for title in ranked:
+        if remaining < base_bytes:
+            break
+        give = min(max_bytes, remaining)
+        prefix[title] = give
+        remaining -= give
+    return tuple(prefix)
+
+
+def _ref_resident(prefix):
+    return tuple(t for t, size in enumerate(prefix) if size > 0)
+
+
+def _ref_mems_fraction(prefix, title_bytes, weights):
+    share = _ref_sum(w * min(size / title_bytes, 1.0)
+                     for w, size in zip(weights, prefix))
+    return min(share, 1.0)
+
+
+def _ref_diff(previous, current, title_bytes):
+    old = set(_ref_resident(previous)) if previous is not None else set()
+    new = set(_ref_resident(current))
+    resized = []
+    if previous is not None:
+        for title in sorted(old & new):
+            if abs(previous[title] - current[title]) > 1e-9 * title_bytes:
+                resized.append(title)
+    return (tuple(sorted(new - old)), tuple(sorted(old - new)),
+            tuple(resized))
+
+
+def _bits(values):
+    """Exact IEEE-754 bytes: tells 0.0 from -0.0, unlike ``==``."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+#: Scores with ties and signed zeros, plus a resident subset.
+_slates = st.integers(min_value=1, max_value=40).flatmap(lambda n: st.tuples(
+    st.lists(st.sampled_from([0.0, -0.0, 1.0, 1.2, 2.0, 5.0]),
+             min_size=n, max_size=n),
+    st.sets(st.integers(0, n - 1))))
+
+
+class TestVodBitIdentity:
+    """Array-backed allocation paths equal the Python references."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(slate=_slates, hysteresis=st.sampled_from([0.0, 0.2, 1.0]),
+           budget_units=st.floats(min_value=0.0, max_value=50.0),
+           max_units=st.sampled_from([1.0, 2.5, 6.0]))
+    def test_rebalance_and_allocation(self, slate, hysteresis, budget_units,
+                                      max_units):
+        scores, resident = slate
+        title_bytes = 8 * MB
+        kwargs = dict(base_bytes=1 * MB, max_bytes=max_units * MB,
+                      budget_bytes=budget_units * MB)
+        alloc = AdaptiveReplacement(hysteresis=hysteresis).rebalance(
+            scores, title_bytes=title_bytes, resident=resident, **kwargs)
+        expected = _ref_rebalance(scores, hysteresis=hysteresis,
+                                  resident=resident, **kwargs)
+        assert alloc.prefix_bytes == expected
+        assert _bits(alloc.prefix_bytes) == _bits(expected)
+        assert alloc.resident_titles == _ref_resident(expected)
+        assert all(type(t) is int for t in alloc.resident_titles)
+        assert alloc.total_bytes == float(_ref_sum(expected))
+        total = _ref_sum(float(s) for s in scores)
+        weights = ([float(s) / total for s in scores] if total > 0
+                   else [1.0 / len(scores)] * len(scores))
+        assert alloc.mems_fraction(weights) == _ref_mems_fraction(
+            expected, title_bytes, weights)
+
+    @settings(max_examples=40, deadline=None)
+    @given(epochs=st.lists(st.lists(st.integers(0, 4), min_size=30,
+                                    max_size=30), min_size=1, max_size=4),
+           hysteresis=st.sampled_from([0.0, 0.2]))
+    def test_prefix_replan_diff_and_fraction(self, epochs, hysteresis):
+        placement = PrefixPlacement(30, decay=0.5, hysteresis=hysteresis,
+                                    planner=Planner())
+        params = _params(size_disk=60 * GB, size_mems=400 * MB)
+        previous = None
+        for counts in epochs:
+            placement.observe_block(np.repeat(np.arange(30), counts))
+            scores = placement.scores()
+            decision = placement.replan(params, 8.0)
+            current = decision.allocation.prefix_bytes
+            assert (decision.promoted, decision.demoted, decision.resized) \
+                == _ref_diff(previous, current,
+                             decision.allocation.title_bytes)
+            total = scores.sum()
+            weights = (scores / total if total > 0
+                       else np.full(30, 1.0 / 30)).tolist()
+            assert decision.mems_fraction == _ref_mems_fraction(
+                current, decision.allocation.title_bytes, weights)
+            previous = current
+
+    def test_tied_scores_with_sticky_titles(self):
+        # All tied: the sticky title wins, then ids break the tie.
+        alloc = AdaptiveReplacement(hysteresis=0.2).rebalance(
+            [1.0, 1.0, 1.0, 1.0], base_bytes=1 * MB, max_bytes=2 * MB,
+            budget_bytes=4 * MB, title_bytes=8 * MB, resident={3})
+        assert alloc.resident_titles == (0, 3)
+        assert alloc.prefix_bytes == (2 * MB, 0.0, 0.0, 2 * MB)
+
+    def test_signed_zero_scores_rank_like_zero(self):
+        alloc = AdaptiveReplacement(hysteresis=0.0).rebalance(
+            [-0.0, 0.0, -0.0], base_bytes=1 * MB, max_bytes=2 * MB,
+            budget_bytes=2 * MB, title_bytes=8 * MB)
+        assert alloc.resident_titles == (0,)
+
+    @pytest.mark.parametrize("scores,resident,problem", [
+        ([math.nan, 1.0], (), "finite"),
+        ([math.inf, 1.0], (), "finite"),
+        ([1.0, 1.0], (2,), "resident"),
+        ([1.0, 1.0], (-1,), "resident"),
+    ])
+    def test_rebalance_rejects_bad_input(self, scores, resident, problem):
+        with pytest.raises(ConfigurationError, match=problem):
+            AdaptiveReplacement().rebalance(
+                scores, base_bytes=1.0, max_bytes=2.0, budget_bytes=1.0,
+                title_bytes=1 * GB, resident=resident)
+
+    @pytest.mark.parametrize("prefix", [(math.nan,), (-1.0,), (3 * GB,)])
+    def test_allocation_bounds_name_the_title(self, prefix):
+        with pytest.raises(ConfigurationError, match="title 0"):
+            PrefixAllocation(prefix_bytes=prefix, title_bytes=2 * GB)
 
 
 def test_package_exports():
