@@ -20,7 +20,6 @@ from repro.runtime.runtime import (
     run_runtime,
 )
 from repro.runtime.sessions import (
-    Session,
     SessionEvent,
     SessionEventKind,
     SessionWorkload,
@@ -40,7 +39,6 @@ __all__ = [
     "RuntimeConfig",
     "RuntimeResult",
     "ServerRuntime",
-    "Session",
     "SessionEvent",
     "SessionEventKind",
     "SessionWorkload",

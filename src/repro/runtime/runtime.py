@@ -50,13 +50,11 @@ from repro.runtime.metrics import MetricsLog, render_dashboard
 from repro.runtime.placement import AdaptivePlacement
 from repro.units import MB
 from repro.runtime.sessions import (
-    Session,
     SessionEvent,
     SessionEventKind,
     SessionSampler,
     SessionTable,
     SessionWorkload,
-    TABLE_ACTIVE,
 )
 from repro.scheduling.admission import AdmissionController
 from repro.simulation.engine import Simulator
@@ -64,7 +62,9 @@ from repro.vod.multicast import MulticastBatcher
 from repro.vod.placement import PrefixDecision, PrefixPlacement
 from repro.workloads.arrivals import predicted_blocking
 
-#: Shared empty blocks for table-core windows with no due work.
+_INF = float("inf")
+
+#: Shared empty blocks for harvest windows with no due work.
 _EMPTY_TIMES: np.ndarray = np.empty(0)
 _EMPTY_ROWS: np.ndarray = np.empty(0, dtype=np.int64)
 
@@ -159,14 +159,13 @@ class RuntimeConfig:
     prefix_floor: float = 1.0
     batch_window: float = 120.0
     seed: int = 0
-    #: Session bookkeeping core: "objects" keeps one ``Session`` per
-    #: viewer and one calendar event per arrival/departure (the
-    #: equivalence oracle); "table" stores sessions as numpy columns in
-    #: a :class:`~repro.runtime.sessions.SessionTable`, draws arrivals
-    #: in vectorized chunks and harvests departures by masked scans at
-    #: control-timer boundaries.  Both cores consume the same
-    #: purpose-split RNG streams, so their metrics JSON is byte
-    #: identical (see ``repro.service.parity``).
+    #: How departures are scheduled; both cores keep sessions in one
+    #: :class:`~repro.runtime.sessions.SessionTable`.  "objects" puts
+    #: one calendar event on the engine per arrival and per departure;
+    #: "table" draws arrivals in vectorized chunks and harvests
+    #: departures by masked scans at control-timer boundaries.  Both
+    #: consume the same purpose-split RNG streams, so their result JSON
+    #: differs only in ``events_executed`` (see ``repro.service.parity``).
     session_core: str = "objects"
 
     def __post_init__(self) -> None:
@@ -211,11 +210,13 @@ class ArrivalOutcome:
 
     The legacy run loop ignores it; the service facade
     (:mod:`repro.service`) turns it into tickets and bus events.
+    ``session_id`` is the admitted session's row in the runtime's
+    :class:`~repro.runtime.sessions.SessionTable` (None on rejection).
     """
 
     admitted: bool
     title: int
-    session: Session | None = None
+    session_id: int | None = None
     served_by: str | None = None
     reason: str | None = None
     #: True when a prefix-mode arrival joined an open shared stream.
@@ -344,14 +345,16 @@ class ServerRuntime:
         self._events: list[SessionEvent] = []
         self._metrics = MetricsLog()
         self._migrations: list[MigrationRecord] = []
-        self._sessions: dict[int, Session] = {}
-        self._table: SessionTable | None = (
-            SessionTable() if config.session_core == "table" else None)
-        #: Earliest pending departure in the table core (lower bound;
-        #: staying conservative only costs a harvest scan that finds
-        #: nothing).  inf while no session is live.
+        self._table = SessionTable()
+        #: The one core-dependent decision: the "table" core harvests
+        #: departures from the table in drained windows, the "objects"
+        #: core puts one calendar event on the engine per departure.
+        self._harvest = config.session_core == "table"
+        #: Earliest pending harvested departure (lower bound; staying
+        #: conservative only costs a harvest scan that finds nothing).
+        #: inf while none is pending, and always on the objects core.
         self._min_dep = float("inf")
-        #: Absolute time of the next self-generated arrival (table
+        #: Absolute time of the next self-generated arrival (the table
         #: core's run loop only; None while externally driven).
         self._next_arrival: float | None = None
         self._cached_set: set[int] | None = None
@@ -430,8 +433,8 @@ class ServerRuntime:
         return self._sampler
 
     @property
-    def session_table(self) -> SessionTable | None:
-        """The struct-of-arrays session store (None on the object core)."""
+    def session_table(self) -> SessionTable:
+        """The struct-of-arrays session store."""
         return self._table
 
     @property
@@ -452,12 +455,7 @@ class ServerRuntime:
     @property
     def active_sessions(self) -> int:
         """Sessions currently playing."""
-        return self._session_count()
-
-    def _session_count(self) -> int:
-        if self._table is not None:
-            return self._table.active_count
-        return len(self._sessions)
+        return self._table.active_count
 
     @property
     def policy(self) -> CachePolicy | None:
@@ -503,7 +501,7 @@ class ServerRuntime:
 
     def handle_arrival(self, sim: Simulator,
                        title: int | None = None) -> ArrivalOutcome:
-        """Process one arrival: observe, admit or reject, schedule exit.
+        """Process one arrival: observe, admit or reject, track the exit.
 
         The engine's admission operation: the legacy run loop calls it
         from the Poisson arrival chain, the service facade calls it for
@@ -511,43 +509,16 @@ class ServerRuntime:
         is None the workload draws one (the next draw of the seeded
         stream, so both paths consume the RNG identically).
         """
-        if self._table is not None:
-            return self._handle_arrival_table(sim, title)
+        now = sim.now
+        if self._min_dep <= now:
+            self._drain_table(now, inclusive=True)
         if title is None:
             title = self._sampler.next_title()
-        self._arrivals_total += 1
-        self._metrics.count("arrivals")
-        if self._placement is not None:
-            self._placement.observe(title)
-        if self._prefix is not None:
-            self._prefix.observe(title)
-        if self._mode == "prefix":
-            return self._admit_prefix(sim, title)
-        decision = self._controller.try_admit()
-        if decision.admitted:
-            session = Session(session_id=self._next_id, title=title,
-                              arrival_time=sim.now,
-                              holding_time=self._sampler.next_holding(),
-                              served_by=self._served_by(title))
-            self._next_id += 1
-            self._sessions[session.session_id] = session
-            self._metrics.count("admits")
-            self._events.append(SessionEvent(
-                time=sim.now, kind=SessionEventKind.ADMIT,
-                session_id=session.session_id, title=title,
-                served_by=session.served_by))
-            sim.after(session.holding_time, self._make_departure(session),
-                      "departure")
-            return ArrivalOutcome(admitted=True, title=title,
-                                  session=session,
-                                  served_by=session.served_by)
-        self._rejects_total += 1
-        self._metrics.count("rejects")
-        self._events.append(SessionEvent(
-            time=sim.now, kind=SessionEventKind.REJECT,
-            session_id=-1, title=title, reason=decision.reason))
-        return ArrivalOutcome(admitted=False, title=title,
-                              reason=decision.reason)
+        row, _, served, reason, batched = self._arrive(now, title)
+        if row < 0:
+            return ArrivalOutcome(admitted=False, title=title, reason=reason)
+        return ArrivalOutcome(admitted=True, title=title, session_id=row,
+                              served_by=served, batched=batched)
 
     def handle_arrival_block(self, sim: Simulator,
                              titles: Sequence[int | None]
@@ -557,14 +528,12 @@ class ServerRuntime:
         Equivalent, draw for draw and event for event, to calling
         :meth:`handle_arrival` once per entry of ``titles``: the title
         stream is consumed in order for the ``None`` entries, holding
-        times are drawn per admission, and a departure coming due
-        mid-burst (a zero-duration hold) still fires between the
-        admissions around it.  On the table core the missing titles
+        times are drawn per admission, and on the table core a
+        departure coming due mid-burst (a zero-duration hold) still
+        fires between the admissions around it.  The missing titles
         arrive as one vectorized block instead of one scalar draw per
         call, which is what makes the facade's burst path cheap.
         """
-        if self._table is None:
-            return [self.handle_arrival(sim, title) for title in titles]
         now = sim.now
         missing = sum(1 for title in titles if title is None)
         drawn = iter(self._sampler.title_block(missing).tolist())
@@ -574,7 +543,7 @@ class ServerRuntime:
             if self._min_dep <= now:
                 self._drain_table(now, inclusive=True)
             title = int(given) if given is not None else int(next(drawn))
-            row, _, served, reason, batched = self._table_arrival(now, title)
+            row, _, served, reason, batched = self._arrive(now, title)
             k += 1
             if row < 0:
                 outcomes.append(ArrivalOutcome(
@@ -602,149 +571,74 @@ class ServerRuntime:
                     break
             else:
                 outcomes.append(ArrivalOutcome(
-                    admitted=True, title=title,
-                    session=self._session_view(row),
+                    admitted=True, title=title, session_id=row,
                     served_by=served, batched=batched))
         return outcomes
 
-    def _admit_prefix(self, sim: Simulator, title: int) -> ArrivalOutcome:
-        """Prefix-mode admission: join an open stream or charge a new one.
+    def _track_departure(self, row: int, departure: float) -> None:
+        """Arrange for ``row`` to depart at ``departure``.
 
-        A same-title arrival inside an open stream's batching window
-        rides that stream for free — no admission check, no new IO.
-        Only a brand-new stream goes through the controller, which
-        therefore counts *IO streams*, the unit the planner's prefix
-        demand model is stated in.
+        The only step where the two session cores differ.  The objects
+        core schedules one calendar event per session (teardowns and
+        sheds leave it to find the row inactive and no-op); the table
+        core lowers the harvest bound instead.
         """
-        require(self._prefix is not None and self._batcher is not None,
-                "prefix admission outside prefix mode")
-        shared = self._batcher.joinable(title, sim.now)
-        if shared is not None:
-            session = Session(session_id=self._next_id, title=title,
-                              arrival_time=sim.now,
-                              holding_time=self._sampler.next_holding(),
-                              served_by="shared",
-                              stream_id=shared.stream_id)
-            self._next_id += 1
-            self._sessions[session.session_id] = session
-            self._batcher.join(shared, session.session_id)
-            self._metrics.count("admits")
-            self._metrics.count("batched_joins")
-            self._events.append(SessionEvent(
-                time=sim.now, kind=SessionEventKind.ADMIT,
-                session_id=session.session_id, title=title,
-                served_by=session.served_by))
-            sim.after(session.holding_time, self._make_departure(session),
-                      "departure")
-            return ArrivalOutcome(admitted=True, title=title,
-                                  session=session,
-                                  served_by=session.served_by, batched=True)
-        decision = self._controller.try_admit()
-        if decision.admitted:
-            served_by = ("prefix" if self._prefix.is_resident(title)
-                         else "disk")
-            session = Session(session_id=self._next_id, title=title,
-                              arrival_time=sim.now,
-                              holding_time=self._sampler.next_holding(),
-                              served_by=served_by)
-            self._next_id += 1
-            stream = self._batcher.open(
-                title, sim.now, self._prefix.window_seconds(title),
-                session.session_id)
-            session.stream_id = stream.stream_id
-            self._sessions[session.session_id] = session
-            self._metrics.count("admits")
-            self._metrics.count("streams_opened")
-            self._events.append(SessionEvent(
-                time=sim.now, kind=SessionEventKind.ADMIT,
-                session_id=session.session_id, title=title,
-                served_by=session.served_by))
-            sim.after(session.holding_time, self._make_departure(session),
-                      "departure")
-            return ArrivalOutcome(admitted=True, title=title,
-                                  session=session,
-                                  served_by=session.served_by)
-        self._rejects_total += 1
-        self._metrics.count("rejects")
-        self._events.append(SessionEvent(
-            time=sim.now, kind=SessionEventKind.REJECT,
-            session_id=-1, title=title, reason=decision.reason))
-        return ArrivalOutcome(admitted=False, title=title,
-                              reason=decision.reason)
+        if self._harvest:
+            if departure < self._min_dep:
+                self._min_dep = departure
+            return
+        table = self._table
 
-    def _complete_departure(self, sim: Simulator, session: Session) -> None:
-        """Release the departed session's slot and log the exit."""
-        if session.stream_id is not None:
+        def depart(sim: Simulator) -> None:
+            if table.is_active(row):
+                self._complete_departure(sim.now, row)
+
+        self._sim.at(departure, depart, "departure")
+
+    def _complete_departure(self, now: float, row: int) -> SessionEvent:
+        """Release a departing session's slot and log the exit."""
+        title, served, stream = self._table.mark_departed(row)
+        if stream >= 0:
             # Shared stream: the IO slot frees only when the last
             # rider leaves.
             if (self._batcher is not None
-                    and self._batcher.has_stream(session.stream_id)):
-                if self._batcher.leave(session.stream_id,
-                                       session.session_id):
+                    and self._batcher.has_stream(stream)):
+                if self._batcher.leave(stream, row):
                     self._controller.release(1)
                     self._metrics.count("streams_closed")
         else:
             self._controller.release(1)
         self._metrics.count("departures")
-        self._events.append(SessionEvent(
-            time=sim.now, kind=SessionEventKind.DEPART,
-            session_id=session.session_id, title=session.title,
-            served_by=session.served_by))
+        event = SessionEvent(
+            time=now, kind=SessionEventKind.DEPART, session_id=row,
+            title=title, served_by=served)
+        self._events.append(event)
+        return event
 
-    def _make_departure(self, session: Session):
-        def depart(sim: Simulator) -> None:
-            # The session may have been shed by a failure already.
-            if self._sessions.pop(session.session_id, None) is None:
-                return
-            self._complete_departure(sim, session)
-
-        return depart
-
-    def close_session(self, sim: Simulator, session_id: int) -> Session | None:
+    def close_session(self, sim: Simulator,
+                      session_id: int) -> SessionEvent | None:
         """Tear one session down early (the service ``teardown`` op).
 
         Accounted exactly like a natural departure — the slot is
-        released and a ``DEPART`` event is logged — so the engine's
-        scheduled departure callback later finds the session gone and
-        no-ops.  Returns the closed session, or None if the id is not
-        live.
+        released and a ``DEPART`` event is logged.  Returns that event,
+        or None if the id is not live.
         """
-        if self._table is not None:
-            table = self._table
-            # Departures due by now fire first, exactly as their
-            # calendar events (scheduled at admit, hence with earlier
-            # sequence numbers) would have.
-            if self._min_dep <= sim.now:
-                self._drain_table(sim.now, inclusive=True)
-            if (not 0 <= session_id < len(table)
-                    or table.state[session_id] != TABLE_ACTIVE):
-                return None
-            session = self._session_view(session_id)
-            self._table_depart(sim.now, session_id)
-            return session
-        session = self._sessions.pop(session_id, None)
-        if session is None:
+        now = sim.now
+        # Departures due by now fire first, exactly as their calendar
+        # events (scheduled at admit, hence with earlier sequence
+        # numbers) would have.
+        if self._min_dep <= now:
+            self._drain_table(now, inclusive=True)
+        if not self._table.is_active(session_id):
             return None
-        self._complete_departure(sim, session)
-        return session
+        return self._complete_departure(now, session_id)
 
-    # -- SessionTable core ---------------------------------------------------
-
-    def _session_view(self, row: int) -> Session:
-        """Materialize one table row as a ``Session`` (facade callers)."""
-        table = self._table
-        stream = int(table.stream[row])
-        return Session(
-            session_id=row, title=int(table.title[row]),
-            arrival_time=float(table.arrival[row]),
-            holding_time=float(table.departure[row] - table.arrival[row]),
-            served_by=table.serve_name(int(table.served[row])),
-            stream_id=stream if stream >= 0 else None)
+    # -- Harvesting ----------------------------------------------------------
 
     def sync(self, sim: Simulator) -> None:
         """Advance lazy session bookkeeping to ``sim.now``.
 
-        A no-op on the object core (the calendar keeps it current);
+        A no-op on the objects core (the calendar keeps it current);
         on the table core it harvests every departure due strictly
         before now, so read-style facade operations observe the same
         state the per-event calendar would have shown.
@@ -755,12 +649,11 @@ class ServerRuntime:
         """Advance the table core to ``sim.now`` before a control action.
 
         Periodic calendar entries keep their original sequence numbers,
-        so at equal timestamps the object core runs control timers
+        so at equal timestamps the objects core runs control timers
         *before* any session event; the table core mirrors that by
         draining strictly below the timer's firing time.
         """
-        if self._table is not None:
-            self._drain_table(sim.now, inclusive=False)
+        self._drain_table(sim.now, inclusive=False)
 
     def _window_arrivals(self, until: float, *,
                          inclusive: bool) -> np.ndarray:
@@ -773,7 +666,7 @@ class ServerRuntime:
         rest = self._sampler.arrival_times(first, until, inclusive=inclusive)
         times = np.concatenate((np.array([first]), rest))
         # Materialize the follower now, at the window's rate — exactly
-        # when (and at what scale) the object core would have drawn it.
+        # when (and at what scale) the objects core would have drawn it.
         self._next_arrival = (float(times[-1])
                               + self._sampler.next_interarrival())
         return times
@@ -788,10 +681,10 @@ class ServerRuntime:
         precedes an arrival at the same timestamp, and equal departure
         times resolve in admit order.  Admissions whose (short) holding
         time ends inside the same window re-enter the merge through a
-        small heap.
+        small heap.  Returns at once on the objects core, where no
+        departure is harvested and no arrival is self-driven.
         """
         table = self._table
-        require(table is not None, "table drain outside the table core")
         arrivals = self._window_arrivals(until, inclusive=inclusive)
         due_bound = (self._min_dep <= until if inclusive
                      else self._min_dep < until)
@@ -819,10 +712,10 @@ class ServerRuntime:
                 else:
                     row = int(rows[j])
                     j += 1
-                if table.state[row] == TABLE_ACTIVE:
-                    self._table_depart(float(table.departure[row]), row)
+                if table.is_active(row):
+                    self._complete_departure(float(table.departure[row]), row)
             else:
-                row, dep, _, reason, _ = self._table_arrival(
+                row, dep, _, reason, _ = self._arrive(
                     float(t_arr), int(titles[i]))
                 i += 1
                 if row >= 0 and (dep <= until if inclusive else dep < until):
@@ -850,17 +743,16 @@ class ServerRuntime:
                         i = m
         self._min_dep = table.min_departure()
 
-    def _table_arrival(self, now: float, title: int
-                       ) -> tuple[int, float, str | None, str | None, bool]:
-        """Admit or reject one arrival into the table at ``now``.
+    # -- Admission -----------------------------------------------------------
+
+    def _arrive(self, now: float, title: int
+                ) -> tuple[int, float, str | None, str | None, bool]:
+        """Admit or reject one arrival at ``now``.
 
         Returns ``(row, departure_time, served_by, reason, batched)``
-        with ``row = -1`` on rejection.  Mirrors the object core's
-        ``handle_arrival`` decision logic step for step — same counter
-        order, same RNG-stream consumption — so the parity harness can
-        hold the two cores byte-identical.
+        with ``row = -1`` on rejection.  Both cores run this code; they
+        differ only in :meth:`_track_departure`.
         """
-        table = self._table
         self._arrivals_total += 1
         self._metrics.count("arrivals")
         if self._placement is not None:
@@ -868,78 +760,66 @@ class ServerRuntime:
         if self._prefix is not None:
             self._prefix.observe(title)
         if self._mode == "prefix":
-            return self._table_arrival_prefix(now, title)
+            return self._arrive_prefix(now, title)
         decision = self._controller.try_admit()
         if not decision.admitted:
-            return self._table_reject(now, title, decision.reason)
-        sid = self._next_id
-        self._next_id += 1
-        holding = self._sampler.next_holding()
+            return self._reject(now, title, decision.reason)
         served = self._served_by(title)
-        table.add(sid, title=title, arrival=now, holding=holding,
-                  served_by=served, bitrate=self.config.params.bit_rate)
-        dep = now + holding
-        if dep < self._min_dep:
-            self._min_dep = dep
-        self._metrics.count("admits")
-        self._events.append(SessionEvent(
-            time=now, kind=SessionEventKind.ADMIT, session_id=sid,
-            title=title, served_by=served))
-        return sid, dep, served, None, False
+        row, dep = self._admit(now, title, served)
+        return row, dep, served, None, False
 
-    def _table_arrival_prefix(self, now: float, title: int
-                              ) -> tuple[int, float, str | None,
-                                         str | None, bool]:
-        """Prefix-mode admission into the table (cf. ``_admit_prefix``)."""
-        table = self._table
+    def _arrive_prefix(self, now: float, title: int
+                       ) -> tuple[int, float, str | None, str | None, bool]:
+        """Prefix-mode admission: join an open stream or charge a new one.
+
+        A same-title arrival inside an open stream's batching window
+        rides that stream for free — no admission check, no new IO.
+        Only a brand-new stream goes through the controller, which
+        therefore counts *IO streams*, the unit the planner's prefix
+        demand model is stated in.
+        """
         require(self._prefix is not None and self._batcher is not None,
                 "prefix admission outside prefix mode")
         shared = self._batcher.joinable(title, now)
         if shared is not None:
-            sid = self._next_id
-            self._next_id += 1
-            holding = self._sampler.next_holding()
-            table.add(sid, title=title, arrival=now, holding=holding,
-                      served_by="shared",
-                      bitrate=self.config.params.bit_rate,
-                      stream_id=shared.stream_id)
-            self._batcher.join(shared, sid)
-            dep = now + holding
-            if dep < self._min_dep:
-                self._min_dep = dep
-            self._metrics.count("admits")
+            row, dep = self._admit(now, title, "shared", shared.stream_id)
+            self._batcher.join(shared, row)
             self._metrics.count("batched_joins")
-            self._events.append(SessionEvent(
-                time=now, kind=SessionEventKind.ADMIT, session_id=sid,
-                title=title, served_by="shared"))
-            return sid, dep, "shared", None, True
+            return row, dep, "shared", None, True
         decision = self._controller.try_admit()
         if not decision.admitted:
-            return self._table_reject(now, title, decision.reason)
+            return self._reject(now, title, decision.reason)
         served = ("prefix" if self._prefix.is_resident(title) else "disk")
-        sid = self._next_id
+        stream = self._batcher.open(
+            title, now, self._prefix.window_seconds(title), self._next_id)
+        row, dep = self._admit(now, title, served, stream.stream_id)
+        self._metrics.count("streams_opened")
+        return row, dep, served, None, False
+
+    def _admit(self, now: float, title: int, served: str,
+               stream_id: int | None = None) -> tuple[int, float]:
+        """Store one admitted session, log it, and track its exit.
+
+        Returns ``(row, departure_time)``; the row is the session id.
+        """
+        row = self._next_id
         self._next_id += 1
         holding = self._sampler.next_holding()
-        stream = self._batcher.open(
-            title, now, self._prefix.window_seconds(title), sid)
-        table.add(sid, title=title, arrival=now, holding=holding,
-                  served_by=served, bitrate=self.config.params.bit_rate,
-                  stream_id=stream.stream_id)
+        self._table.add(row, title=title, arrival=now, holding=holding,
+                        served_by=served, stream_id=stream_id)
         dep = now + holding
-        if dep < self._min_dep:
-            self._min_dep = dep
+        self._track_departure(row, dep)
         self._metrics.count("admits")
-        self._metrics.count("streams_opened")
         self._events.append(SessionEvent(
-            time=now, kind=SessionEventKind.ADMIT, session_id=sid,
+            time=now, kind=SessionEventKind.ADMIT, session_id=row,
             title=title, served_by=served))
-        return sid, dep, served, None, False
+        return row, dep
 
     def _bulk_reject(self, times: np.ndarray, titles: np.ndarray,
                      reason: str | None) -> None:
         """Reject a whole run of arrivals at once (saturated window).
 
-        Event-for-event identical to calling :meth:`_table_arrival` on
+        Event-for-event identical to calling :meth:`_arrive` on
         each entry when no admission can interleave: counters move by
         the block size, the placement observes the titles as one
         scatter-add, and the audit log gains one REJECT per arrival.
@@ -959,103 +839,41 @@ class ServerRuntime:
                 time=now, kind=SessionEventKind.REJECT,
                 session_id=-1, title=title, reason=reason))
 
-    def _table_reject(self, now: float, title: int, reason: str | None
-                      ) -> tuple[int, float, str | None, str | None, bool]:
+    def _reject(self, now: float, title: int, reason: str | None
+                ) -> tuple[int, float, str | None, str | None, bool]:
         self._rejects_total += 1
         self._metrics.count("rejects")
         self._events.append(SessionEvent(
             time=now, kind=SessionEventKind.REJECT,
             session_id=-1, title=title, reason=reason))
-        return -1, float("inf"), None, reason, False
-
-    def _table_depart(self, now: float, row: int) -> None:
-        """Release one table row's slot and log the exit (cf.
-        ``_complete_departure``)."""
-        table = self._table
-        stream = int(table.stream[row])
-        if stream >= 0:
-            if (self._batcher is not None
-                    and self._batcher.has_stream(stream)):
-                if self._batcher.leave(stream, row):
-                    self._controller.release(1)
-                    self._metrics.count("streams_closed")
-        else:
-            self._controller.release(1)
-        self._metrics.count("departures")
-        self._events.append(SessionEvent(
-            time=now, kind=SessionEventKind.DEPART, session_id=row,
-            title=int(table.title[row]),
-            served_by=table.serve_name(int(table.served[row]))))
-        table.mark_departed(row)
-
-    def _handle_arrival_table(self, sim: Simulator,
-                              title: int | None) -> ArrivalOutcome:
-        """Externally driven arrival on the table core (facade path)."""
-        if self._min_dep <= sim.now:
-            self._drain_table(sim.now, inclusive=True)
-        if title is None:
-            title = self._sampler.next_title()
-        row, dep, served, reason, batched = self._table_arrival(
-            sim.now, int(title))
-        if row < 0:
-            return ArrivalOutcome(admitted=False, title=int(title),
-                                  reason=reason)
-        return ArrivalOutcome(admitted=True, title=int(title),
-                              session=self._session_view(row),
-                              served_by=served, batched=batched)
+        return -1, _INF, None, reason, False
 
     def _drop_row(self, sim: Simulator, row: int, reason: str) -> None:
         """Mark one table row dropped and log it (slot NOT released)."""
-        table = self._table
+        title, served, _ = self._table.mark_dropped(row)
         self._metrics.count("drops")
         self._events.append(SessionEvent(
-            time=sim.now, kind=SessionEventKind.DROP,
-            session_id=row, title=int(table.title[row]),
-            served_by=table.serve_name(int(table.served[row])),
-            reason=reason))
-        table.mark_dropped(row)
+            time=sim.now, kind=SessionEventKind.DROP, session_id=row,
+            title=title, served_by=served, reason=reason))
 
     def _shed_sessions(self, sim: Simulator, n_drop: int,
                        reason: str) -> None:
         """Drop the ``n_drop`` newest sessions (least watched first)."""
-        if self._table is not None:
-            for row in self._table.shed_newest(n_drop):
-                self._controller.release(1)
-                self._drop_row(sim, int(row), reason)
-            return
-        victims = list(self._sessions.values())[::-1][:n_drop]
-        for session in victims:
-            del self._sessions[session.session_id]
+        for row in self._table.shed_newest(n_drop):
             self._controller.release(1)
-            self._metrics.count("drops")
-            self._events.append(SessionEvent(
-                time=sim.now, kind=SessionEventKind.DROP,
-                session_id=session.session_id, title=session.title,
-                served_by=session.served_by, reason=reason))
+            self._drop_row(sim, int(row), reason)
 
     def _shed_streams(self, sim: Simulator, n_drop: int,
                       reason: str) -> None:
         """Close the ``n_drop`` newest IO streams and drop their riders."""
         require(self._batcher is not None,
                 "stream shedding outside prefix mode")
-        table = self._table
         for stream in self._batcher.drop_newest(n_drop):
             self._controller.release(1)
             self._metrics.count("streams_closed")
             for session_id in stream.session_ids:
-                if table is not None:
-                    if (0 <= session_id < len(table)
-                            and table.state[session_id] == TABLE_ACTIVE):
-                        self._drop_row(sim, session_id, reason)
-                    continue
-                session = self._sessions.pop(session_id, None)
-                if session is None:  # pragma: no cover - defensive
-                    continue
-                self._metrics.count("drops")
-                self._events.append(SessionEvent(
-                    time=sim.now, kind=SessionEventKind.DROP,
-                    session_id=session.session_id, title=session.title,
-                    served_by=session.served_by, reason=reason))
+                if self._table.is_active(session_id):
+                    self._drop_row(sim, session_id, reason)
 
     def _record_migration(self, time: float, decision) -> None:
         if decision.migrations_in or decision.migrations_out:
@@ -1074,7 +892,7 @@ class ServerRuntime:
                 "replan requested outside cache mode")
         self._metrics.count("replans")
         decision = self._placement.replan(
-            self._degraded_params(), float(self._session_count()),
+            self._degraded_params(), float(self._table.active_count),
             dram_budget=self.config.dram_budget)
         self._policy = decision.policy
         self._record_migration(sim.now, decision)
@@ -1083,28 +901,15 @@ class ServerRuntime:
                                      policy=decision.policy,
                                      popularity=decision.popularity)
         # Live sessions follow their titles across the migration.
-        cached = set(decision.cached_titles)
-        self._cached_set = cached
-        if self._table is not None:
-            table = self._table
-            rows = table.active_rows()
-            if len(rows):
-                hit = (np.isin(table.title[rows],
-                               np.fromiter(cached, dtype=np.int64,
-                                           count=len(cached)))
-                       if cached else np.zeros(len(rows), dtype=bool))
-                table.served[rows] = np.where(
-                    hit, table.serve_code("cache"), table.serve_code("disk"))
-        else:
-            for session in self._sessions.values():
-                session.served_by = ("cache" if session.title in cached
-                                     else "disk")
+        self._cached_set = set(decision.cached_titles)
+        self._relabel(self._table.active_rows(), decision.cached_titles,
+                      "cache")
         # The observed popularity may be harsher than what the old
         # population was admitted under; shed to the new capacity.
         capacity = self._controller.capacity()
-        if self._session_count() > capacity:
-            self._shed_sessions(sim, self._session_count() - capacity,
-                                reason)
+        live = self._table.active_count
+        if live > capacity:
+            self._shed_sessions(sim, live - capacity, reason)
 
     def _replan_prefix(self, sim: Simulator, *, reason: str) -> None:
         """Re-allocate prefixes and swap the admission spec (in streams)."""
@@ -1121,28 +926,27 @@ class ServerRuntime:
                                      spec=decision.spec)
         # Stream openers follow their titles across the migration
         # (riders keep "shared" — their IO is the opener's).
-        if self._table is not None:
-            table = self._table
-            rows = table.active_rows()
-            rows = rows[table.served[rows] != table.serve_code("shared")]
-            if len(rows):
-                resident = np.fromiter(
-                    self._prefix.resident_titles, dtype=np.int64)
-                hit = (np.isin(table.title[rows], resident)
-                       if len(resident) else np.zeros(len(rows), dtype=bool))
-                table.served[rows] = np.where(
-                    hit, table.serve_code("prefix"),
-                    table.serve_code("disk"))
-        else:
-            for session in self._sessions.values():
-                if session.served_by != "shared":
-                    session.served_by = (
-                        "prefix" if self._prefix.is_resident(session.title)
-                        else "disk")
+        table = self._table
+        rows = table.active_rows()
+        rows = rows[table.served[rows] != table.serve_code("shared")]
+        self._relabel(rows, self._prefix.resident_titles, "prefix")
         capacity = self._controller.capacity()
         if self._batcher.active_streams > capacity:
             self._shed_streams(
                 sim, self._batcher.active_streams - capacity, reason)
+
+    def _relabel(self, rows: np.ndarray, titles: Sequence[int],
+                 tier: str) -> None:
+        """Serve ``rows`` from ``tier`` when their title is in ``titles``,
+        from disk otherwise (live sessions follow a migration)."""
+        if not len(rows):
+            return
+        table = self._table
+        hit = np.zeros(self.config.workload.n_titles, dtype=bool)
+        hit[list(titles)] = True
+        table.served[rows] = np.where(hit[table.title[rows]],
+                                      table.serve_code(tier),
+                                      table.serve_code("disk"))
 
     def _on_epoch(self, sim: Simulator) -> None:
         self.run_epoch(sim)
@@ -1183,26 +987,14 @@ class ServerRuntime:
 
         popularity = EmpiricalPopularity.from_counts(self._prefix.scores())
         plan = plan_recovery(self.config.params, self.config.dram_budget,
-                             self._session_count(), popularity,
+                             self._table.active_count, popularity,
                              k_active=0, r_mems_factor=self._rate_factor,
                              planner=self._planner)
         if plan.n_dropped:
             # Shed sessions directly: the old controller counted IO
             # streams, so its slots are not session slots to release.
-            if self._table is not None:
-                for row in self._table.shed_newest(plan.n_dropped):
-                    self._drop_row(sim, int(row), "device failure")
-            else:
-                victims = (list(self._sessions.values())
-                           [::-1][:plan.n_dropped])
-                for session in victims:
-                    del self._sessions[session.session_id]
-                    self._metrics.count("drops")
-                    self._events.append(SessionEvent(
-                        time=sim.now, kind=SessionEventKind.DROP,
-                        session_id=session.session_id, title=session.title,
-                        served_by=session.served_by,
-                        reason="device failure"))
+            for row in self._table.shed_newest(plan.n_dropped):
+                self._drop_row(sim, int(row), "device failure")
         # Batching collapses with the bank: every survivor becomes its
         # own direct-disk stream.  A fresh (empty) batcher keeps the
         # live gauges at zero; the cumulative fan-out counters carry
@@ -1212,15 +1004,10 @@ class ServerRuntime:
         fresh.sessions_total = self._batcher.sessions_total
         fresh.streams_total = self._batcher.streams_total
         self._batcher = fresh
-        if self._table is not None:
-            table = self._table
-            rows = table.active_rows()
-            table.stream[rows] = -1
-            table.served[rows] = table.serve_code("disk")
-        else:
-            for session in self._sessions.values():
-                session.stream_id = None
-                session.served_by = "disk"
+        table = self._table
+        rows = table.active_rows()
+        table.stream[rows] = -1
+        table.served[rows] = table.serve_code("disk")
         self._prefix = None
         self._prefix_decision = None
         self._mode = plan.mode
@@ -1228,7 +1015,7 @@ class ServerRuntime:
         self._controller = AdmissionController(
             self._degraded_params(), self.config.dram_budget,
             configuration=plan.mode, planner=self._planner)
-        for _ in range(self._session_count()):
+        for _ in range(table.active_count):
             require(self._controller.try_admit().admitted,
                     "recovery plan under-counted the surviving sessions")
 
@@ -1264,7 +1051,7 @@ class ServerRuntime:
                 self._placement.scores())
         plan = plan_recovery(self.config.params,
                              self.config.dram_budget,
-                             self._session_count(), popularity,
+                             self._table.active_count, popularity,
                              k_active=self._k_active,
                              r_mems_factor=self._rate_factor,
                              planner=self._planner)
@@ -1285,15 +1072,11 @@ class ServerRuntime:
                 params=self._degraded_params(),
                 configuration=plan.mode)
             if previous_mode == "cache":
-                if self._table is not None:
-                    table = self._table
-                    rows = table.active_rows()
-                    # _served_by is title-independent outside cache mode.
-                    table.served[rows] = table.serve_code(
-                        "buffer" if self._mode == "buffer" else "disk")
-                else:
-                    for session in self._sessions.values():
-                        session.served_by = self._served_by(session.title)
+                table = self._table
+                rows = table.active_rows()
+                # _served_by is title-independent outside cache mode.
+                table.served[rows] = table.serve_code(
+                    "buffer" if self._mode == "buffer" else "disk")
         self._bank = (None if self._k_active < 1 else MemsBank(
             self.config.device, self._k_active, BankPolicy.ROUND_ROBIN))
         if self._degraded_since is None:
@@ -1336,18 +1119,15 @@ class ServerRuntime:
 
     def _cache_session_count(self) -> int:
         """Live sessions currently served from the MEMS cache."""
-        if self._table is not None:
-            table = self._table
-            rows = table.active_rows()
-            return int(np.count_nonzero(
-                table.served[rows] == table.serve_code("cache")))
-        return sum(1 for s in self._sessions.values()
-                   if s.served_by == "cache")
+        table = self._table
+        rows = table.active_rows()
+        return int(np.count_nonzero(
+            table.served[rows] == table.serve_code("cache")))
 
     def _device_utilization(self) -> float:
         """Load fraction of the bottleneck device class."""
         params = self.config.params
-        n = self._session_count()
+        n = self._table.active_count
         disk_load = n * params.bit_rate / params.r_disk
         if self._bank is None:
             return disk_load
@@ -1378,7 +1158,7 @@ class ServerRuntime:
     def _on_metrics(self, sim: Simulator) -> None:
         self._pre_control(sim)
         workload = self.config.workload
-        n = self._session_count()
+        n = self._table.active_count
         n_cache = self._cache_session_count()
         try:
             dram = self._controller.dram_required()
@@ -1447,10 +1227,10 @@ class ServerRuntime:
     def run(self) -> RuntimeResult:
         config = self.config
         sim = self._sim
-        if self._table is not None:
+        if self._harvest:
             # No per-arrival calendar events: the whole Poisson chain
             # drains in vectorized windows at control-timer boundaries.
-            # Seed it with the first draw the object core would make.
+            # Seed it with the first draw the objects core would make.
             self._next_arrival = self._sampler.next_interarrival()
         else:
             self._schedule_arrival(sim)
@@ -1476,15 +1256,14 @@ class ServerRuntime:
         """
         config = self.config
         sim = self._sim
-        if self._table is not None:
-            # Everything due through the calendar's final instant runs
-            # before the seal — including events at exactly that time,
-            # which ``run`` (inclusive) would have executed.  ``run``
-            # leaves ``now`` at its ``until`` bound, so a full run
-            # drains through the horizon; a driver that stopped the
-            # calendar early (a facade harness mid-run) seals exactly
-            # where the object core's calendar stopped.
-            self._drain_table(sim.now, inclusive=True)
+        # Everything due through the calendar's final instant runs
+        # before the seal — including events at exactly that time,
+        # which ``run`` (inclusive) would have executed.  ``run`` leaves
+        # ``now`` at its ``until`` bound, so a full run drains through
+        # the horizon; a driver that stopped the calendar early (a
+        # facade harness mid-run) seals exactly where the objects
+        # core's calendar stopped.
+        self._drain_table(sim.now, inclusive=True)
         if (not self._metrics.snapshots
                 or self._metrics.snapshots[-1].t_end < config.horizon):
             self._on_metrics(sim)

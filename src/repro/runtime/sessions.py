@@ -58,24 +58,6 @@ class SessionEvent:
                 "served_by": self.served_by, "reason": self.reason}
 
 
-@dataclass(slots=True)
-class Session:
-    """An admitted session's mutable state."""
-
-    session_id: int
-    title: int
-    arrival_time: float
-    holding_time: float
-    served_by: str
-    #: Shared IO stream carrying this session under the VoD prefix
-    #: mode; None outside it (and after a failure dissolves the batch).
-    stream_id: int | None = None
-
-    @property
-    def departure_time(self) -> float:
-        return self.arrival_time + self.holding_time
-
-
 @dataclass
 class SessionWorkload:
     """Stochastic session generator with drift and surge support.
@@ -208,9 +190,10 @@ class SessionSampler:
     The sampler therefore spawns three *independent* child generators
     from the run seed (``np.random.SeedSequence(seed).spawn(3)``), one
     per purpose, and refills a numpy chunk per stream.  Scalar
-    consumption (the object path) and blocked consumption (the
-    :class:`SessionTable` path) then read the *same* value sequences —
-    the property the table/object parity harness rests on:
+    consumption (the objects core and the facade) and blocked
+    consumption (the table core's drained windows) then read the *same*
+    value sequences — the property the cross-core parity harness rests
+    on:
 
     * interarrivals are buffered as *standard* exponentials and scaled
       by the current rate at consumption time, so a mid-run surge never
@@ -220,8 +203,8 @@ class SessionSampler:
       workload's current CDF at consumption time, so drift and focus
       never invalidate the buffer either (the CDF is re-derived only
       when rotation/focus actually change);
-    * holding times are consumed only for *admitted* sessions, exactly
-      like the object path, so rejects leave the stream untouched.
+    * holding times are consumed only for *admitted* sessions, so
+      rejects leave the stream untouched on both cores.
     """
 
     def __init__(self, workload: SessionWorkload, seed: int, *,
@@ -270,7 +253,7 @@ class SessionSampler:
             self._cdf_key = key
         return self._cdf
 
-    # -- Scalar draws (object path) ------------------------------------------
+    # -- Scalar draws ---------------------------------------------------------
 
     def next_interarrival(self) -> float:
         w = self.workload
@@ -295,14 +278,14 @@ class SessionSampler:
         self._hold_cur += 1
         return float(value * self.workload.mean_holding)
 
-    # -- Blocked draws (SessionTable path) -----------------------------------
+    # -- Blocked draws (harvested windows) -----------------------------------
 
     def arrival_times(self, start: float, until: float, *,
                       inclusive: bool = False) -> np.ndarray:
         """Absolute arrival times in ``(start, until)`` at the current rate.
 
         Accumulates sequentially (``cumsum``) from ``start`` so the
-        float trajectory is bit-identical to the object path's
+        float trajectory is bit-identical to the objects core's
         one-``sim.after``-per-arrival chain.  Exactly the returned
         number of interarrival draws is consumed; the first draw beyond
         the window stays buffered for the next window, and because the
@@ -350,15 +333,15 @@ TABLE_DROPPED = 3
 
 
 class SessionTable:
-    """Struct-of-arrays store for session state (the fast core).
+    """Struct-of-arrays store for session state (both session cores).
 
     One row per *admitted* session, indexed by session id (ids are
     dense and allocated in admit order, so the row index is the id).
-    Columns are flat numpy arrays — arrival/departure time, title,
-    bit rate, shared-stream id, serving tier and lifecycle state — so
-    departure harvesting, shedding and re-tagging become masked scans
-    instead of per-object attribute walks, and a million sessions cost
-    ~50 MB instead of a million heap objects.
+    Columns are flat numpy arrays — departure time, title,
+    shared-stream id, serving tier and lifecycle state — so departure
+    harvesting, shedding and re-tagging become masked scans instead of
+    per-object attribute walks, and a million sessions cost ~30 MB
+    instead of a million heap objects.
     """
 
     def __init__(self, *, capacity: int = 1024) -> None:  # repro-lint: disable=unit-literals (a row count, not bytes)
@@ -367,16 +350,27 @@ class SessionTable:
                 f"capacity must be >= 1, got {capacity!r}")
         self._n = 0
         self._active = 0
-        self._lo = 0  # every row below this watermark is inactive
-        self.arrival = np.empty(capacity)
+        #: Every row below this watermark is inactive; the scans
+        #: raise it, so marking a row stays O(1).
+        self._lo = 0
         self.departure = np.empty(capacity)
         self.title = np.empty(capacity, dtype=np.int64)
-        self.bitrate = np.empty(capacity)
         self.stream = np.full(capacity, -1, dtype=np.int64)
         self.state = np.zeros(capacity, dtype=np.uint8)
         self.served = np.zeros(capacity, dtype=np.int16)
         self._served_names: list[str] = []
         self._served_codes: dict[str, int] = {}
+        self._bind_views()
+
+    def _bind_views(self) -> None:
+        # Admission, departure and teardown touch one row at a time; a
+        # memoryview over the same buffer reads or writes one scalar in
+        # about half the time numpy indexing takes.
+        self._departure_v = memoryview(self.departure)
+        self._title_v = memoryview(self.title)
+        self._stream_v = memoryview(self.stream)
+        self._state_v = memoryview(self.state)
+        self._served_v = memoryview(self.served)
 
     def __len__(self) -> int:
         return self._n
@@ -394,13 +388,9 @@ class SessionTable:
             self._served_names.append(served_by)
         return code
 
-    def serve_name(self, code: int) -> str:
-        return self._served_names[code]
-
     def _grow(self) -> None:
-        capacity = 2 * len(self.arrival)
-        for name in ("arrival", "departure", "title", "bitrate",
-                     "stream", "state", "served"):
+        capacity = 2 * len(self.departure)
+        for name in ("departure", "title", "stream", "state", "served"):
             old = getattr(self, name)
             new = np.empty(capacity, dtype=old.dtype)
             new[:self._n] = old[:self._n]
@@ -409,42 +399,37 @@ class SessionTable:
             elif name == "state":
                 new[self._n:] = 0
             setattr(self, name, new)
+        self._bind_views()
 
     def add(self, session_id: int, *, title: int, arrival: float,
-            holding: float, served_by: str, bitrate: float = 0.0,
+            holding: float, served_by: str,
             stream_id: int | None = None) -> None:
         """Append an admitted session (ids must stay dense)."""
         if session_id != self._n:
             raise ConfigurationError(
                 f"session ids must be dense: expected {self._n}, "
                 f"got {session_id!r}")
-        if self._n == len(self.arrival):
+        if self._n == len(self.departure):
             self._grow()
         row = self._n
-        self.arrival[row] = arrival
-        self.departure[row] = arrival + holding
-        self.title[row] = title
-        self.bitrate[row] = bitrate
-        self.stream[row] = -1 if stream_id is None else stream_id
-        self.served[row] = self.serve_code(served_by)
-        self.state[row] = TABLE_ACTIVE
+        self._departure_v[row] = arrival + holding
+        self._title_v[row] = title
+        if stream_id is not None:  # unused rows already hold -1
+            self._stream_v[row] = stream_id
+        self._served_v[row] = self.serve_code(served_by)
+        self._state_v[row] = TABLE_ACTIVE
         self._n += 1
         self._active += 1
 
     # -- Masked scans --------------------------------------------------------
 
-    def _advance_lo(self) -> None:
-        state = self.state
-        lo, n = self._lo, self._n
-        while lo < n and state[lo] != TABLE_ACTIVE:
-            lo += 1
-        self._lo = lo
-
     def active_rows(self) -> np.ndarray:
         """Row ids of live sessions, in admit order."""
         lo, n = self._lo, self._n
-        return (lo + np.nonzero(
-            self.state[lo:n] == TABLE_ACTIVE)[0]).astype(np.int64)
+        rows = (lo + np.flatnonzero(
+            self.state[lo:n] == TABLE_ACTIVE)).astype(np.int64, copy=False)
+        self._lo = int(rows[0]) if len(rows) else n
+        return rows
 
     def harvest(self, until: float, *, inclusive: bool = True) -> np.ndarray:
         """Rows departing by ``until``, ordered by (time, admit order).
@@ -470,17 +455,23 @@ class SessionTable:
             return float("inf")
         return float(self.departure[rows].min())
 
-    def mark_departed(self, row: int) -> None:
-        self.state[row] = TABLE_DEPARTED
-        self._active -= 1
-        if row == self._lo:
-            self._advance_lo()
+    def is_active(self, row: int) -> bool:
+        """True when ``row`` names a live session (False for any other int)."""
+        return 0 <= row < self._n and self._state_v[row] == TABLE_ACTIVE
 
-    def mark_dropped(self, row: int) -> None:
-        self.state[row] = TABLE_DROPPED
+    def mark_departed(self, row: int) -> tuple[int, str, int]:
+        """Retire a departing row; returns its (title, tier, stream id)."""
+        self._state_v[row] = TABLE_DEPARTED
         self._active -= 1
-        if row == self._lo:
-            self._advance_lo()
+        return (self._title_v[row], self._served_names[self._served_v[row]],
+                self._stream_v[row])
+
+    def mark_dropped(self, row: int) -> tuple[int, str, int]:
+        """Retire a shed row; returns its (title, tier, stream id)."""
+        self._state_v[row] = TABLE_DROPPED
+        self._active -= 1
+        return (self._title_v[row], self._served_names[self._served_v[row]],
+                self._stream_v[row])
 
     def shed_newest(self, count: int) -> np.ndarray:
         """Newest ``count`` live rows (reverse admit order), for sheds."""

@@ -10,7 +10,8 @@ as a typed event on an :class:`~repro.service.events.EventBus`.
 :class:`~repro.service.traffic.TrafficProgram` replays the named
 scenarios through that API, and :mod:`repro.service.parity` proves the
 replay byte-identical to the engine loop, and the table session core
-byte-identical to the object core.
+byte-identical to the objects core apart from the engine's event
+count.
 """
 
 from repro.service.backpressure import (

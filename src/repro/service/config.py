@@ -380,9 +380,11 @@ class RuntimeConfig:
     timeline: TimelineConfig = field(default_factory=TimelineConfig)
     device: str = "G3"
     seed: int = 0
-    #: Session bookkeeping core ("objects" or "table"); see the legacy
-    #: config's field of the same name.  Both cores produce the same
-    #: metrics/events bytes, so this is purely a speed knob.
+    #: How departures are scheduled ("objects": one calendar event per
+    #: session; "table": harvested in drained windows).  Both keep
+    #: sessions in one ``SessionTable`` and produce the same result
+    #: bytes apart from ``events_executed``, so this is purely a speed
+    #: knob; see the legacy config's field of the same name.
     session_core: str = "objects"
 
     def __post_init__(self) -> None:

@@ -32,6 +32,7 @@ Two properties define the facade:
 from __future__ import annotations
 
 import enum
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -60,6 +61,14 @@ from repro.service.events import (
     SessionClosed,
     SessionRejected,
 )
+
+
+def _integer(value, what: str) -> int:
+    """A non-``int`` ``value`` as a plain int; bools and non-integers
+    are rejected (callers skip the call for plain ints, the hot case)."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ConfigurationError(f"{what} must be an integer, got {value!r}")
 
 
 class TicketState(enum.Enum):
@@ -127,6 +136,18 @@ class MediaService:
         self._next_ticket += 1
         self._tickets_issued += 1
         return ticket
+
+    def _title(self, title) -> int | None:
+        """A requested title, checked against the catalogue (None draws)."""
+        if title is None:
+            return None
+        if type(title) is not int:
+            title = _integer(title, "title")
+        n_titles = self.config.workload.n_titles
+        if not 0 <= title < n_titles:
+            raise ConfigurationError(
+                f"title must be in [0, {n_titles}), got {title!r}")
+        return title
 
     def _load(self) -> float:
         """Admission load fraction: admitted streams over capacity."""
@@ -199,8 +220,11 @@ class MediaService:
         Returns an ``ADMITTED`` or ``REJECTED`` ticket immediately, or
         a ``PENDING`` one when a replan is in flight (finalized by the
         replan-done event).  ``title`` defaults to the next draw of the
-        workload's seeded popularity stream.
+        workload's seeded popularity stream; any other title must be an
+        integer in ``[0, n_titles)`` or :class:`ConfigurationError` is
+        raised.
         """
+        title = self._title(title)
         sim = self.engine.sim
         if self._draining:
             ticket = self._new_ticket(TicketState.REJECTED, title=title,
@@ -238,7 +262,7 @@ class MediaService:
                     "admit_block needs count or titles")
             wanted: list[int | None] = [None] * count
         else:
-            wanted = list(titles)
+            wanted = [self._title(title) for title in titles]
             if count is not None and count != len(wanted):
                 raise ConfigurationError(
                     f"count {count} != len(titles) {len(wanted)}")
@@ -271,7 +295,7 @@ class MediaService:
                 ticket = AdmitTicket(
                     ticket_id=next_id, state=TicketState.ADMITTED,
                     created_at=now, title=outcome.title,
-                    session_id=outcome.session.session_id,
+                    session_id=outcome.session_id,
                     served_by=outcome.served_by,
                     batched=outcome.batched, finalized_at=now)
                 publish(SessionAdmitted(
@@ -320,7 +344,7 @@ class MediaService:
         ticket.finalized_at = sim.now
         if outcome.admitted:
             ticket.state = TicketState.ADMITTED
-            ticket.session_id = outcome.session.session_id
+            ticket.session_id = outcome.session_id
             ticket.served_by = outcome.served_by
             ticket.batched = outcome.batched
             self.bus.publish(SessionAdmitted(
@@ -338,14 +362,20 @@ class MediaService:
         return ticket
 
     def teardown(self, session_id: int) -> bool:
-        """Close one live session early; True when it was live."""
+        """Close one live session early; True when it was live.
+
+        An unknown or negative id returns False; a non-integer one
+        raises :class:`ConfigurationError`.
+        """
+        if type(session_id) is not int:
+            session_id = _integer(session_id, "session_id")
         sim = self.engine.sim
-        session = self.engine.close_session(sim, session_id)
-        if session is None:
+        closed = self.engine.close_session(sim, session_id)
+        if closed is None:
             return False
         self.bus.publish(SessionClosed(
-            time=sim.now, session_id=session.session_id,
-            title=session.title))
+            time=sim.now, session_id=closed.session_id,
+            title=closed.title))
         self._update_backpressure()
         return True
 

@@ -12,13 +12,15 @@ sample and note.  There are two comparisons:
   a :class:`~repro.service.traffic.TrafficProgram`.  The executed-event
   count must match too, so anything the facade adds (tickets, the
   event bus, the backpressure governor) is observationally free.
-* **object core vs table core** (:func:`compare_cores`): the engine
-  loop on ``session_core="objects"`` (one ``Session`` and one calendar
-  event per viewer) against the struct-of-arrays
-  :class:`~repro.runtime.sessions.SessionTable` core.  The one
-  sanctioned difference is ``events_executed``: collapsing per-session
-  calendar events into a few drained windows is the point of the table
-  core, so the raw engine event count is left out of the comparison.
+* **objects core vs table core** (:func:`compare_cores`): the engine
+  loop on ``session_core="objects"`` (one calendar event per arrival
+  and per departure) against ``session_core="table"`` (departures
+  harvested in drained windows).  Both keep sessions in the same
+  :class:`~repro.runtime.sessions.SessionTable` and differ only in how
+  departures are scheduled.  The one sanctioned difference is
+  ``events_executed``: collapsing per-session calendar events into a
+  few drained windows is the point of the table core, so the raw
+  engine event count is left out of the comparison.
 
 Every leg compiles its own engine config with ``to_legacy()``, so no
 leg sees the workload state (drift rotation, surge factor, focus) that

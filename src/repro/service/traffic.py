@@ -16,7 +16,10 @@ in the same order with the same labels and draws the seeded RNG in the
 same sequence (interarrival, then title, then holding-if-admitted) as
 the legacy loop, so with the default synchronous replans the run's
 JSON output is byte-identical — :mod:`repro.service.parity` holds it
-there.  A cluster dispatcher later swaps this program for real demand
+there.  Arrivals always come through the calendar here, one
+``admit`` each, on either session core; the core decides only whether
+each admitted session's departure is a calendar event ("objects") or
+is harvested at the next facade call or control timer ("table").  A cluster dispatcher later swaps this program for real demand
 without touching the engine.
 """
 

@@ -177,7 +177,7 @@ class PrefixPlacement:
     def observe_block(self, titles: np.ndarray) -> None:
         """Record one arrival per entry of ``titles``, in one operation.
 
-        The vectorized twin of :meth:`observe` for the table core's
+        The vectorized twin of :meth:`observe` for the runtime's
         bulk paths; per-title counts are order-insensitive within an
         epoch, so a whole window lands as one scatter-add.
         """

@@ -1,5 +1,6 @@
 """MediaService: admit/teardown/stats/reconfigure/drain + the replan window."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -26,6 +27,7 @@ from repro.service.scenarios import (
     device_failure,
     overload,
     steady_disk,
+    vod_flash_crowd,
 )
 from repro.units import MB
 
@@ -89,6 +91,71 @@ class TestAdmitTeardown:
         assert snap["pending_tickets"] == 0
         assert 0 < snap["load"] <= 1.5
         assert snap["events_published"] >= 1
+
+
+#: One scenario per admission path: direct disk, MEMS cache, VoD prefix.
+_MODES = {"none": steady_disk, "cache": adaptive_cache,
+          "prefix": vod_flash_crowd}
+
+
+@pytest.mark.parametrize("core", ["objects", "table"])
+@pytest.mark.parametrize("mode", sorted(_MODES))
+class TestInputValidation:
+    """Bad titles and session ids fail with ConfigurationError."""
+
+    def _service(self, mode, core):
+        config = _MODES[mode](seed=2, horizon=2_000.0)
+        return _service(config.replace(session_core=core))
+
+    @pytest.mark.parametrize("title", [-1, "n_titles", "3", 2.5, True, False])
+    def test_admit_rejects_bad_titles(self, mode, core, title):
+        service, log = self._service(mode, core)
+        if title == "n_titles":
+            title = service.config.workload.n_titles
+        with pytest.raises(ConfigurationError):
+            service.admit(title)
+        with pytest.raises(ConfigurationError):
+            service.admit_block(titles=[0, title])
+        # Nothing was admitted, parked or published.
+        assert service.stats()["tickets_issued"] == 0
+        assert service.engine.active_sessions == 0
+        assert log.events == []
+
+    def test_bad_titles_fail_before_parking(self, mode, core):
+        service, _ = self._service(mode, core)
+        service._replan_inflight = True  # an open replan window
+        with pytest.raises(ConfigurationError):
+            service.admit(-1)
+        with pytest.raises(ConfigurationError):
+            service.admit_block(titles=[None, 2.5])
+        assert service.pending_tickets == 0
+
+    def test_admit_accepts_integer_titles(self, mode, core):
+        service, _ = self._service(mode, core)
+        last = service.config.workload.n_titles - 1
+        tickets = [service.admit(0), service.admit(np.int64(last)),
+                   *service.admit_block(titles=[np.int32(1), None])]
+        assert [t.title for t in tickets[:3]] == [0, last, 1]
+        assert all(type(t.title) is int for t in tickets)
+        assert all(t.admitted for t in tickets)
+
+    @pytest.mark.parametrize("session_id", ["0", None, 0.0, True])
+    def test_teardown_rejects_non_integer_ids(self, mode, core, session_id):
+        service, _ = self._service(mode, core)
+        assert service.admit(0).session_id == 0
+        with pytest.raises(ConfigurationError):
+            service.teardown(session_id)
+        assert service.engine.active_sessions == 1
+
+    def test_teardown_of_unknown_ids_returns_false(self, mode, core):
+        service, log = self._service(mode, core)
+        ticket = service.admit(0)
+        assert service.teardown(-1) is False
+        assert service.teardown(ticket.session_id + 1) is False
+        assert service.teardown(np.int64(ticket.session_id)) is True
+        assert service.teardown(ticket.session_id) is False
+        closed = log.of_type(SessionClosed)
+        assert [(e.session_id, e.title) for e in closed] == [(0, 0)]
 
 
 class TestPendingAdmit:

@@ -1,15 +1,19 @@
-"""The struct-of-arrays session core against its object-path oracle.
+"""The two session cores held observably identical.
 
-The table core (``session_core="table"``) must be *observably
-indistinguishable* from the per-object core: same admits, same
-rejects, same departure order, byte-identical metrics JSON.  These
-tests hold that equivalence under randomized workloads (hypothesis),
-under adversarial edge shapes (zero-duration holds, simultaneous
-departures, a mid-run focused flash crowd), and for the facade's bulk
+Both cores keep sessions in one :class:`SessionTable`; they differ only
+in how departures are scheduled (one calendar event per session on
+``session_core="objects"``, harvested scans on ``"table"``).  They must
+be *observably indistinguishable*: same admits, same rejects, same
+departure order, byte-identical result JSON apart from the engine's
+event count.  These tests hold that equivalence under randomized
+workloads (hypothesis), under adversarial edge shapes (zero-duration
+holds, simultaneous departures, a mid-run focused flash crowd), on the
+service facade's admit/teardown path, and for the facade's bulk
 ``admit_block`` path against one-at-a-time ``admit`` calls.
 """
 
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +30,7 @@ from repro.service.parity import (
     run_both_cores,
     verify_all_cores,
 )
+from repro.service.scenarios import SERVICE_SCENARIOS
 
 
 def _random_config(base_name, workload, *, seed, horizon):
@@ -140,7 +145,7 @@ class TestEdgeShapes:
             for n, r in reports.items() if not r.matches}
 
 
-def _drive(service, *, bulk, bursts=4, burst=25):
+def _drive(service, *, bulk, bursts=4, burst=25, step=50.0):
     """Admit bursts + teardowns; returns (tickets, bus event dicts)."""
     from repro.service.events import EventLog
 
@@ -159,43 +164,70 @@ def _drive(service, *, bulk, bursts=4, burst=25):
         for session_id in live[::2]:
             service.teardown(session_id)
         live = live[1::2]
-        sim.run(until=sim.now + 50.0)
+        sim.run(until=sim.now + step)
     return tickets, [e.to_dict() for e in log.events]
 
 
+def _without_events_executed(result) -> dict:
+    payload = json.loads(result.to_json())
+    del payload["summary"]["events_executed"]
+    return payload
+
+
+class TestFacadeCoreParity:
+    @pytest.mark.parametrize("name", sorted(SERVICE_SCENARIOS))
+    @pytest.mark.parametrize("bulk", [False, True])
+    def test_cores_agree_on_the_facade_path(self, name, bulk):
+        # The same admit / admit_block / teardown churn, with the clock
+        # advancing between bursts, through both cores: identical
+        # tickets, identical bus events, and result JSON identical but
+        # for the engine's executed-event count.
+        runs = {}
+        for core in ("objects", "table"):
+            config = service_scenarios.build_service_scenario(
+                name, seed=4, horizon=5_000.0).replace(session_core=core)
+            service = MediaService(config)
+            # 250-session bursts outrun most capacities, so rejects,
+            # teardowns and natural departures between bursts interleave.
+            tickets, events = _drive(service, bulk=bulk, bursts=6,
+                                     burst=250, step=400.0)
+            runs[core] = ([dataclasses.asdict(t) for t in tickets], events,
+                          _without_events_executed(service.finalize()))
+        objects, table = runs["objects"], runs["table"]
+        assert any(t["state"].value == "admitted" for t in objects[0])
+        assert objects[0] == table[0]
+        assert objects[1] == table[1]
+        assert objects[2] == table[2]
+
+
+def _block_service(core):
+    return MediaService(
+        service_scenarios.steady_disk(seed=5, horizon=5_000.0)
+        .replace(session_core=core))
+
+
+@pytest.mark.parametrize("core", ["objects", "table"])
 class TestAdmitBlockEquivalence:
-    def test_block_equals_sequential_admits(self):
+    def test_block_equals_sequential_admits(self, core):
         # Identical config, identical seed: a burst through the fused
         # admit_block path must produce the same tickets AND the same
         # bus event stream (ordering, loads, backpressure transitions)
         # as one-at-a-time admit calls.
-        def build():
-            config = dataclasses.replace(
-                service_scenarios.steady_disk(seed=5, horizon=5_000.0),
-                session_core="table")
-            return MediaService(config)
-
-        block_tickets, block_events = _drive(build(), bulk=True)
-        seq_tickets, seq_events = _drive(build(), bulk=False)
+        block_tickets, block_events = _drive(_block_service(core),
+                                             bulk=True)
+        seq_tickets, seq_events = _drive(_block_service(core), bulk=False)
         assert [dataclasses.asdict(t) for t in block_tickets] \
             == [dataclasses.asdict(t) for t in seq_tickets]
         assert block_events == seq_events
 
-    def test_block_validates_inputs(self):
-        config = dataclasses.replace(
-            service_scenarios.steady_disk(seed=5, horizon=5_000.0),
-            session_core="table")
-        service = MediaService(config)
+    def test_block_validates_inputs(self, core):
+        service = _block_service(core)
         with pytest.raises(ConfigurationError):
             service.admit_block()
         with pytest.raises(ConfigurationError):
             service.admit_block(count=2, titles=[1])
 
-    def test_block_with_explicit_titles(self):
-        config = dataclasses.replace(
-            service_scenarios.steady_disk(seed=5, horizon=5_000.0),
-            session_core="table")
-        service = MediaService(config)
-        tickets = service.admit_block(titles=[0, 1, 0])
+    def test_block_with_explicit_titles(self, core):
+        tickets = _block_service(core).admit_block(titles=[0, 1, 0])
         assert [t.title for t in tickets] == [0, 1, 0]
         assert all(t.admitted for t in tickets)
