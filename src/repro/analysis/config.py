@@ -153,8 +153,7 @@ DEFAULT_SCOPES: tuple[tuple[str, ScopeSpec], ...] = (
         files=("planner/incremental.py", "planner/batch.py",
                "core/popularity.py"))),
     ("float-equality", ScopeSpec(
-        dirs=("core", "planner", "experiments", "vod", "service"),
-        files=("benchmarks/regress.py",))),
+        dirs=("core", "planner", "experiments", "vod", "service"))),
     ("unit-literals", ScopeSpec(exclude_files=("units.py",))),
 )
 

@@ -23,8 +23,8 @@ Usage::
                                     # service control plane
     mems-repro bench --preset small --out bench_out
                                     # record BENCH_<name>.json timings
-    mems-repro bench --replay bench_out --compare benchmarks/baselines
-                                    # regression gate (exit 1 if slower)
+    mems-repro bench --out bench_out --compare benchmarks/baselines
+                                    # record and gate (exit 1 if slower)
     mems-repro lint src             # repo-specific static analysis
     mems-repro lint --json --rule no-bare-assert src tests
 """
@@ -89,9 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "the best (default 1)")
     bench_cmd.add_argument("--out", metavar="DIR", default=None,
                            help="write BENCH_<name>.json records here")
-    bench_cmd.add_argument("--replay", metavar="DIR", default=None,
-                           help="skip running: load recorded BENCH_*.json "
-                                "from DIR as the current results")
     bench_cmd.add_argument("--compare", metavar="BASELINE", default=None,
                            help="compare against a baseline dir (or one "
                                 "BENCH_*.json); exit 1 on regression")
@@ -323,19 +320,8 @@ def _run_bench(args: argparse.Namespace) -> int:
         write_records,
     )
 
-    if args.replay is not None:
-        records_by_name = load_records(args.replay)
-        if args.workload:
-            records_by_name = {name: record
-                               for name, record in records_by_name.items()
-                               if name in set(args.workload)}
-        records = list(records_by_name.values())
-        print(f"replaying {len(records)} recorded workload(s) from "
-              f"{args.replay}")
-    else:
-        records = run_workloads(args.workload, preset=args.preset,
-                                repeats=args.repeats)
-        records_by_name = {record.name: record for record in records}
+    records = run_workloads(args.workload, preset=args.preset,
+                            repeats=args.repeats)
     for record in records:
         gated = {name: value for name, value in record.metrics.items()
                  if name in METRIC_DIRECTIONS}
@@ -344,14 +330,15 @@ def _run_bench(args: argparse.Namespace) -> int:
         parts = [f"{name}={value:.6g}" for name, value in gated.items()]
         parts += [f"{name}={value:.6g}*" for name, value in info.items()]
         print(f"{record.name:>18} [{record.preset}]  {'  '.join(parts)}")
-    if records and args.replay is None and args.out:
+    if args.out:
         for path in write_records(records, args.out):
             print(f"wrote {path}", file=sys.stderr)
     if args.compare is None:
         return 0
     baseline = load_records(args.compare)
     comparisons, regressions = compare_records(
-        records_by_name, baseline, args.tolerance)
+        {record.name: record for record in records}, baseline,
+        args.tolerance)
     print()
     print(f"comparing against {args.compare} "
           f"(tolerance {args.tolerance:g}%):")

@@ -1,39 +1,5 @@
-"""Performance layer: parallel sweeps and the benchmark harness.
-
-Two deliberately separate concerns share this package:
-
-* :mod:`repro.perf.parallel` — :func:`sweep_map`, the deterministic
-  process-pool map the figure sweeps and the runtime scenario batch
-  fan out through (``--jobs N`` on the CLI).  Results are byte-
-  identical to a serial run by construction: every work item carries
-  its full configuration/seed, workers hold no shared mutable state,
-  and results are gathered in submission order.
-* :mod:`repro.perf.bench` — the timed workloads behind ``mems-repro
-  bench``, emitting schema-versioned ``BENCH_<name>.json`` records and
-  comparing them against a recorded baseline (the regression gate).
-
-See ``docs/PERFORMANCE.md`` for the determinism contract and the
-bench JSON schema.
+"""Performance layer: :mod:`repro.perf.parallel` (the deterministic
+``sweep_map`` behind ``--jobs N``) and :mod:`repro.perf.bench` (the
+workloads behind ``mems-repro bench``).  Import from those modules
+directly; see ``docs/PERFORMANCE.md``.
 """
-
-from repro.perf.bench import (  # noqa: F401
-    BENCH_SCHEMA_VERSION,
-    BenchRecord,
-    WORKLOADS,
-    compare_records,
-    load_records,
-    run_workloads,
-    write_records,
-)
-from repro.perf.parallel import sweep_map  # noqa: F401
-
-__all__ = [
-    "BENCH_SCHEMA_VERSION",
-    "BenchRecord",
-    "WORKLOADS",
-    "compare_records",
-    "load_records",
-    "run_workloads",
-    "sweep_map",
-    "write_records",
-]

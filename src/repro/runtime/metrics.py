@@ -8,7 +8,7 @@ the Erlang-B prediction) are sampled at the interval edge.  Snapshots
 serialise losslessly to JSON (schema below) and render as a fixed-width
 text dashboard for the CLI.
 
-JSON schema (``MetricsLog.to_json``)::
+JSON schema (``MetricsLog.to_dict``)::
 
     {
       "schema": 1,
@@ -128,10 +128,12 @@ class MetricsLog:
 
     # -- Serialisation -------------------------------------------------------
 
+    def to_dict(self) -> dict:
+        return {"schema": SCHEMA_VERSION,
+                "snapshots": [s.to_dict() for s in self.snapshots]}
+
     def to_json(self, *, indent: int | None = None) -> str:
-        payload = {"schema": SCHEMA_VERSION,
-                   "snapshots": [s.to_dict() for s in self.snapshots]}
-        return json.dumps(payload, indent=indent, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "MetricsLog":

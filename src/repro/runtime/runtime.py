@@ -283,7 +283,7 @@ class RuntimeResult:
             },
             "events": [e.to_dict() for e in self.events],
             "migrations": [m.to_dict() for m in self.migrations],
-            "metrics": json.loads(self.metrics.to_json()),
+            "metrics": self.metrics.to_dict(),
         }
         return json.dumps(payload, indent=indent, sort_keys=True)
 

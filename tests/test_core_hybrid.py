@@ -65,6 +65,9 @@ class TestOptimizer:
                                    dram_budget=2 * GB)
         assert best.max_streams == pytest.approx(
             max(d.max_streams for d in curve))
+        # The future-work split never loses to its pure endpoints.
+        assert best.max_streams >= max(curve[0].max_streams,
+                                       curve[-1].max_streams) * (1 - 1e-9)
 
     def test_skewed_popularity_favours_some_cache(self, params):
         best = optimize_hybrid_split(params, policy=CachePolicy.STRIPED,

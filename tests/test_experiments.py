@@ -17,8 +17,10 @@ class TestFigure2:
         disk = next(s for s in result.series if "Disk" in s.label)
         # At every swept IO size the MEMS curve is above the disk curve
         # until the disk approaches its (lower) media-rate asymptote.
-        small = range(10)  # smallest IO sizes
+        small = range(40)  # the small-IO regime
         assert all(mems.y[i] > disk.y[i] for i in small)
+        # An order of magnitude smaller IOs reach 50% utilisation.
+        assert "smaller on MEMS" in result.notes[0]
 
     def test_curves_approach_media_rates(self):
         result = figure2.run()
@@ -26,6 +28,9 @@ class TestFigure2:
         disk = next(s for s in result.series if "Disk" in s.label)
         assert mems.y[-1] == pytest.approx(320, rel=0.05)
         assert disk.y[-1] == pytest.approx(300, rel=0.15)
+        # Both approached from below.
+        assert 300 < mems.y[-1] <= 320
+        assert 250 < disk.y[-1] <= 300
 
     def test_both_monotone(self):
         result = figure2.run(n_points=50)
@@ -62,6 +67,16 @@ class TestFigure6:
         hdtv = next(s for s in result.series if s.label == "HDTV")
         assert max(hdtv.x) < 30  # 300 MB/s / 10 MB/s
 
+    def test_order_of_magnitude_over_full_sweep(self):
+        # The paper's whole N range (to 1e5), not just the first decades.
+        for label, factor in figure6.reduction_factors().items():
+            assert factor > 8, f"{label}: only {factor:.1f}x"
+
+    @pytest.mark.parametrize("with_mems", [False, True])
+    def test_dram_monotone_in_streams(self, with_mems):
+        for series in figure6.run(with_mems=with_mems).series:
+            assert series.y == sorted(series.y)
+
 
 class TestFigure7:
     def test_panel_a_monotone_in_ratio(self):
@@ -83,6 +98,33 @@ class TestFigure7:
         low_rate = result.series[0]
         assert low_rate.y[-1] > 50
 
+    def test_panel_a_paper_shape(self):
+        result = figure7.run_panel_a()
+        by_label = {s.label: s for s in result.series}
+        for series in result.series:
+            assert all(a <= b + 1e-9 for a, b in zip(series.y, series.y[1:]))
+        # Low/medium bit-rates gain 55%+ at the case-study ratio of 5,
+        # HDTV-class streams far less.
+        at5 = by_label["mp3"].x.index(5.0)
+        for label in ("mp3", "DivX", "DVD"):
+            assert by_label[label].y[at5] > 55
+        assert by_label["HDTV"].y[at5] < 40
+        # The $20 bank caps the reduction strictly below 100%.
+        assert max(max(s.y) for s in result.series) < 100.0
+
+    def test_panel_b_paper_regions(self):
+        rows = figure7.run_panel_b(n_rate_points=10,
+                                   n_ratio_points=8).series
+        # One row per bit-rate, ascending: the >75% band exists in the
+        # low-rate, high-ratio corner and never at the highest rate.
+        assert rows[0].y[-1] > 70
+        assert max(rows[-1].y) < 75
+        # At the highest ratio the >70% band covers the low and medium
+        # bit-rates and collapses at HDTV-class rates.
+        top_ratio = [row.y[-1] for row in rows]
+        assert all(v > 70 for v in top_ratio[:-2])
+        assert top_ratio[-1] < 25
+
 
 class TestFigure8:
     def test_savings_scale_with_inverse_bitrate(self):
@@ -92,6 +134,16 @@ class TestFigure8:
         assert peaks["mp3"] > 5_000
         assert peaks["HDTV"] < 100
         assert peaks["mp3"] > peaks["DivX"] > peaks["DVD"] > peaks["HDTV"]
+        assert peaks["mp3"] > 10_000
+        assert peaks["DivX"] > 1_000
+        assert peaks["DVD"] > 100
+        # A factor-of-ten ladder between adjacent bit-rates (the DRAM
+        # reduction scales as 1/B at fixed utilisation).
+        assert 5 < peaks["mp3"] / peaks["DivX"] < 20
+        assert 5 < peaks["DivX"] / peaks["DVD"] < 20
+        for series in result.series:
+            assert all(a <= b * (1 + 1e-9)
+                       for a, b in zip(series.y, series.y[1:]))
 
 
 class TestFigure9:
@@ -116,12 +168,38 @@ class TestFigure9:
                                       _dist("1:99"))
             gains.append(repl / none)
         assert gains[0] > 2 and gains[1] > 2
+        assert gains[0] / gains[1] == pytest.approx(1.0, abs=0.35)
 
     def test_table_structure(self):
         result = figure9.run(bit_rate=10 * KB,
                              distributions=("1:99", "50:50"))
         assert result.table is not None
         assert len(result.table.rows) == 2 * 3  # dists x configs
+
+    def test_panel_a_policy_ordering(self):
+        result = figure9.run_panel_a()
+        # Replication wins under heavy skew at every budget.
+        repl = _table_row(result, "1:99", "replicated")
+        stri = _table_row(result, "1:99", "striped")
+        none = _table_row(result, "1:99", "w/o")
+        assert all(r >= s for r, s in zip(repl, stri))
+        assert all(r > n for r, n in zip(repl, none))
+        # Striping overtakes replication at milder skew ($200, k=4).
+        assert (_table_row(result, "5:95", "striped")[-1]
+                > _table_row(result, "5:95", "replicated")[-1])
+        # At uniform popularity the cache loses to plain DRAM.
+        uniform_cache = _table_row(result, "50:50", "replicated")
+        uniform_none = _table_row(result, "50:50", "w/o")
+        assert all(c < n for c, n in zip(uniform_cache, uniform_none))
+
+    def test_panel_b_high_bitrate(self):
+        result = figure9.run_panel_b()
+        repl = _table_row(result, "1:99", "replicated")
+        none = _table_row(result, "1:99", "w/o")
+        # The cache still multiplies throughput at 1 MB/s ...
+        assert repl[-1] > 3 * none[-1]
+        # ... while extra budget alone barely helps at high bit-rates.
+        assert none[-1] < none[0] * 1.15
 
 
 class TestFigure10:
@@ -132,6 +210,22 @@ class TestFigure10:
         assert best > 100  # the paper reports up to ~2.4x (= +140%)
         best_k = skewed.x[skewed.y.index(best)]
         assert 1 < best_k < 8  # interior optimum
+        by_label = {s.label: s for s in result.series}
+        # Every skewed distribution peaks strictly inside the k range
+        # and declines past its optimum.
+        for spec in ("1:99", "5:95", "10:90"):
+            series = by_label[spec]
+            best = max(series.y)
+            best_k = series.x[series.y.index(best)]
+            assert best > 0
+            assert series.x[0] < best_k < series.x[-1], \
+                f"{spec}: optimum at boundary k={best_k}"
+            after = [y for x, y in zip(series.x, series.y) if x > best_k]
+            assert after and after[-1] < best
+        assert max(max(s.y) for s in result.series) < 300
+        # Milder skew, smaller peak.
+        assert max(by_label["1:99"].y) > max(by_label["10:90"].y) > \
+            max(by_label["20:80"].y)
 
     def test_uniform_always_degrades(self):
         result = figure10.run(max_devices=8)
@@ -150,6 +244,8 @@ class TestTables:
         result = tables.run_table1()
         assert result.table is not None
         assert not any("MISMATCH" in note for note in result.notes)
+        # 2002 and 2007 rows for each of the three media.
+        assert len(result.table.rows) == 6
 
     def test_table3_values_rendered(self):
         result = tables.run_table3()
@@ -157,6 +253,11 @@ class TestTables:
         assert "20,000" in rendered      # RPM
         assert "0.45" in rendered        # MEMS full stroke
         assert "0.14" in rendered        # X settle
+        assert "300" in rendered         # disk bandwidth, MB/s
+        assert "320" in rendered         # G3 bandwidth, MB/s
+        # The paper reports a latency ratio near 5 for this device pair.
+        note = next(n for n in result.notes if "latency ratio" in n)
+        assert 4.0 < float(note.split("=")[1].split()[0]) < 6.0
 
 
 class TestRegistry:
@@ -185,3 +286,10 @@ def _dist(spec: str):
     from repro.core.popularity import BimodalPopularity
 
     return BimodalPopularity.parse(spec)
+
+
+def _table_row(result, distribution: str, configuration: str) -> list[int]:
+    for row in result.table.rows:
+        if row[0] == distribution and configuration in str(row[1]):
+            return [int(v) for v in row[2:]]
+    raise AssertionError(f"row {distribution}/{configuration} missing")

@@ -27,6 +27,18 @@ class TestStartupExperiment:
         assert worst["cache"] < worst["direct"]
         assert worst["buffer (pipeline fill)"] > worst["direct"]
 
+    def test_startup_ordering_per_media(self):
+        result = run_ext_startup()
+        worst = {(row[0], row[1]): float(row[3]) for row in result.table.rows}
+        for media in ("DivX", "DVD"):
+            assert worst[(media, "cache")] < worst[(media, "direct")]
+            assert worst[(media, "buffer (pipeline fill)")] > \
+                100 * worst[(media, "direct")]
+            # The bypass policy brings the buffer's startup back under
+            # the pipeline fill.
+            assert worst[(media, "buffer (bypass)")] < \
+                worst[(media, "buffer (pipeline fill)")]
+
 
 class TestPlacementExperiment:
     def test_gain_curve_shape(self):
@@ -45,10 +57,11 @@ class TestSptfExperiment:
 
 class TestBlockingExperiment:
     def test_mems_configs_block_less(self):
-        result = run_ext_blocking(budgets_gb=(2.0,))
-        rows = {row[1]: float(row[3]) for row in result.table.rows}
-        assert rows["MEMS buffer"] < rows["disk only"]
-        assert rows["MEMS cache"] < rows["disk only"]
+        result = run_ext_blocking(budgets_gb=(1.0, 2.0))
+        rows = {(row[0], row[1]): float(row[3]) for row in result.table.rows}
+        for budget in ("1 GB", "2 GB"):
+            assert rows[(budget, "MEMS buffer")] < rows[(budget, "disk only")]
+            assert rows[(budget, "MEMS cache")] < rows[(budget, "disk only")]
 
 
 class TestHybridExperiment:
@@ -56,7 +69,10 @@ class TestHybridExperiment:
         result = run_ext_hybrid()
         assert [s.label for s in result.series] == ["1:99", "5:95", "20:80"]
         # Every split k_cache = 0..k is evaluated.
-        assert result.series[0].x == [0.0, 1.0, 2.0, 3.0, 4.0]
+        for series in result.series:
+            assert series.x == [0.0, 1.0, 2.0, 3.0, 4.0]
+        # Under 1:99 popularity the best split beats the worst by 1.5x+.
+        assert max(result.series[0].y) > 1.5 * min(result.series[0].y)
 
 
 class TestRobustnessExperiment:
@@ -68,12 +84,23 @@ class TestRobustnessExperiment:
         assert series.y[0] >= series.y[-1]
         assert series.y[-1] < series.y[0] * 0.2 or series.y[0] == 0.0
 
+    def test_bare_minimum_starves_and_cushion_does_not(self):
+        series = run_ext_robustness(n_streams=40, n_cycles=25).series[0]
+        assert series.y[0] > 0
+        assert series.y[-1] == pytest.approx(0.0, abs=1e-6)
+
 
 class TestRegionsExperiment:
     def test_map_is_rendered(self):
         result = run_ext_regions(n_rate_points=4, n_budget_points=3)
         assert any("b=buffer" in note for note in result.notes)
         assert len(result.series) == 4
+
+    def test_both_mems_regions_on_the_map(self):
+        result = run_ext_regions(n_rate_points=5, n_budget_points=4)
+        note = next(note for note in result.notes if "b=buffer" in note)
+        grid = note.split("rows:")[0]
+        assert "b" in grid and "c" in grid
 
 
 class TestGenerationsExperiment:

@@ -171,6 +171,58 @@ class TestRunWorkloads:
             run_workloads(["event_loop"], preset="tiny", repeats=0)
 
 
+def _small(name: str) -> dict[str, float]:
+    (record,) = run_workloads([name], preset="small")
+    return record.metrics
+
+
+class TestSmallPresetCounts:
+    """The CI preset's deterministic work counts, pinned exactly.
+
+    Every workload is seeded, so these counters are the same on any
+    machine and only the wall-clock metrics vary.  A change that moves
+    one of them changes the work the gated path does: update the number
+    here on purpose, never loosen it to a ratio.
+    """
+
+    def test_admission_storm_probes(self):
+        metrics = _small("admission_storm")
+        assert metrics["planner_probes_cold_run"] == 480
+        assert metrics["planner_probes_warm_run"] == 66
+        assert metrics["probe_ratio"] == 480 / 66
+        assert metrics["admissions"] == 2400
+
+    def test_replan_epochs_probes(self):
+        metrics = _small("replan_epochs")
+        assert metrics["planner_probes_cold_run"] == 234
+        assert metrics["planner_probes_warm_run"] == 42
+
+    def test_flash_crowd_prefix_advantage(self):
+        metrics = _small("flash_crowd")
+        assert metrics["sessions_prefix"] == 1988
+        assert metrics["sessions_whole"] == 1630
+        assert metrics["batched_joins"] == 1410
+        assert metrics["io_streams"] == 578
+        assert metrics["fanout_ratio"] == 1988 / 578
+        assert metrics["prefix_probes_cold_run"] == 126
+        assert metrics["prefix_probes_warm_run"] == 30
+
+    def test_service_churn_event_flow(self):
+        metrics = _small("service_churn")
+        assert metrics["ops"] == 49630
+        assert metrics["pending_finalized"] == 1440
+        assert metrics["events_published"] == 51103
+
+    def test_runtime_scenario_session_events(self):
+        assert _small("runtime_scenario")["session_events"] == 85305
+
+    def test_million_sessions_admits_every_arrival(self):
+        metrics = _small("million_sessions")
+        assert metrics["sessions"] == 149873
+        assert metrics["arrivals"] == 149873
+        assert metrics["sessions_per_sec"] > 0
+
+
 class TestPersistence:
     def test_write_and_load(self, tmp_path):
         records = [BenchRecord(name="event_loop", preset="tiny",
@@ -268,21 +320,31 @@ class TestBenchCli:
         assert payload["name"] == "event_loop"
         assert payload["metrics"]["wall_time_s"] > 0
 
-    def test_replay_self_comparison_exits_zero(self, tmp_path):
+    def _baseline(self, tmp_path, out, factor):
+        """``out``'s records rescaled by ``factor`` (see ``_slowed``)."""
+        baseline = tmp_path / "baseline"
+        write_records([_slowed(record, factor)
+                       for record in load_records(out).values()], baseline)
+        return baseline
+
+    def test_compare_against_slower_baseline_exits_zero(self, tmp_path):
         out = self._record(tmp_path, "run")
-        # Replaying the recorded files against themselves is exact, so
-        # the gate must pass at any tolerance — the non-flaky CI shape.
-        assert main(["bench", "--replay", str(out), "--compare",
-                     str(out), "--tolerance", "0"]) == 0
+        # A baseline 100x slower than this machine: a fresh run records
+        # and passes the gate in one call, even at zero tolerance.
+        baseline = self._baseline(tmp_path, out, 100.0)
+        assert main(["bench", "--preset", "tiny", "--workload",
+                     "event_loop", "--out", str(tmp_path / "again"),
+                     "--compare", str(baseline), "--tolerance", "0"]) == 0
+        assert (tmp_path / "again" / "BENCH_event_loop.json").is_file()
 
     def test_synthetic_slowdown_exits_nonzero(self, tmp_path):
         out = self._record(tmp_path, "run")
-        slow_dir = tmp_path / "slow"
-        slowed = [_slowed(record)  # 50% slower than the baseline
-                  for record in load_records(out).values()]
-        write_records(slowed, slow_dir)
-        assert main(["bench", "--replay", str(slow_dir), "--compare",
-                     str(out), "--tolerance", "10"]) == 1
+        # A baseline 100x faster: the fresh run is a slowdown far past
+        # any timing noise.
+        baseline = self._baseline(tmp_path, out, 0.01)
+        assert main(["bench", "--preset", "tiny", "--workload",
+                     "event_loop", "--compare", str(baseline),
+                     "--tolerance", "10"]) == 1
 
     def test_unknown_workload_is_an_error(self, tmp_path):
         assert main(["bench", "--preset", "tiny", "--workload",

@@ -10,6 +10,8 @@ the identical object, ``params.replace`` is a fresh key, and the LRU
 bound evicts oldest-first.
 """
 
+import time
+
 import pytest
 
 from repro.core.buffer_model import design_mems_buffer
@@ -341,3 +343,63 @@ class TestSearchEngine:
 
     def test_int_search_honours_limit(self):
         assert max_feasible_int(lambda n: True, limit=37) == 37
+
+
+def _sweep(planner: Planner) -> float:
+    """A representative solve mix: figure-style budget sweeps across
+    configurations, plus forward plans over a population grid."""
+    params = _params(1, 2, 100 * KB)
+    checksum = 0.0
+    for budget in (100 * MB, 250 * MB, 500 * MB, 1 * GB, 2 * GB):
+        checksum += planner.max_streams(params, Configuration.direct(),
+                                        budget)
+        checksum += planner.max_streams(params, Configuration.buffer(),
+                                        budget)
+        for policy in (CachePolicy.STRIPED, CachePolicy.REPLICATED):
+            checksum += planner.max_streams(
+                params, Configuration.cache(policy, POPULARITY), budget)
+        checksum += planner.capacity(params, Configuration.buffer(), budget)
+    for n in (100, 400, 1_600, 2_400):
+        checksum += planner.plan(params.replace(n_streams=n),
+                                 Configuration.buffer()).total_dram
+    return checksum
+
+
+def _timed(fn) -> float:
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
+class TestWarmSweep:
+    """The figure sweeps and the runtime's epoch loop re-ask the same
+    questions: only the first asking may pay for the search."""
+
+    def test_warm_cache_at_least_2x_faster(self):
+        planner = Planner()
+        cold = _timed(lambda: _sweep(planner))
+        after_cold = planner.stats()
+        assert after_cold["misses"] > 0
+        # Best of a few warm repeats, to shrug off scheduler noise.
+        warm = min(_timed(lambda: _sweep(planner)) for _ in range(5))
+        after_warm = planner.stats()
+        assert after_warm["misses"] == after_cold["misses"], \
+            "a warm repeat of an identical sweep must be all hits"
+        assert after_warm["hits"] > after_cold["hits"]
+        assert cold >= 2.0 * warm
+
+    def test_warm_and_cold_agree(self):
+        warm_planner = Planner()
+        _sweep(warm_planner)
+        assert _sweep(Planner()) == pytest.approx(_sweep(warm_planner))
+
+    def test_memoization_without_warm_start(self):
+        # warm_start=False pins the memoization contract apart from the
+        # hint machinery: an identical repeat adds zero misses.
+        planner = Planner(warm_start=False)
+        _sweep(planner)
+        warmed_misses = planner.stats()["misses"]
+        _sweep(planner)
+        stats = planner.stats()
+        assert stats["misses"] == warmed_misses
+        assert stats["hits"] > 0

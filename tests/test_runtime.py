@@ -1,6 +1,7 @@
 """End-to-end tests for the online server runtime."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -129,6 +130,12 @@ class TestAdaptivePlacement:
         surged = run_scenario("flash-crowd", seed=0, horizon=15_000)
         assert surged.blocking_probability > calm.blocking_probability
 
+    def test_epochs_replan_over_the_default_horizon(self):
+        config = build_service_scenario("adaptive-cache", seed=0)
+        result = run_runtime(config.to_legacy())
+        assert result.totals["replans"] > 0
+        assert result.horizon == config.horizon
+
 
 class TestMetricsExport:
     @pytest.fixture(scope="class")
@@ -178,7 +185,26 @@ class TestMetricsExport:
     def test_summary_reports_probe_counts(self, result):
         assert "planner probes:" in result.summary()
 
+    def test_result_json_embeds_the_metrics_dict(self, result):
+        metrics = result.metrics.to_dict()
+        assert json.loads(result.metrics.to_json()) == metrics
+        assert json.loads(result.to_json())["metrics"] == metrics
+
     def test_custom_horizon_respected(self):
         result = run_scenario("steady-disk", seed=0, horizon=5_000)
         assert result.horizon == 5_000
         assert result.metrics.snapshots[-1].t_end == pytest.approx(5_000)
+
+
+class TestMemory:
+    def test_ten_k_session_run_stays_under_100_mb(self):
+        # ~10k sessions over 40k simulated seconds; the audit log and the
+        # metrics snapshots are the only state that grows with the run.
+        tracemalloc.start()
+        try:
+            result = run_scenario("steady-disk", seed=0, horizon=40_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.totals["arrivals"] >= 10_000
+        assert peak / 1e6 < 100

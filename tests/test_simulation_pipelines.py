@@ -13,7 +13,7 @@ from repro.simulation.pipelines import (
     simulate_cache_pipeline,
     simulate_direct_pipeline,
 )
-from repro.units import MB
+from repro.units import KB, MB
 
 
 @pytest.fixture
@@ -81,7 +81,7 @@ class TestDirectPipeline:
         import numpy as np
 
         from repro.simulation.pipelines import _disk_cycle_service
-        from repro.units import MB
+        from repro.units import KB, MB
 
         rng = np.random.default_rng(1)
         latencies, rates = _disk_cycle_service(
@@ -198,3 +198,30 @@ class TestCachePipeline:
                                    BimodalPopularity(5, 95))
         report = simulate_cache_pipeline(design, n_cycles=10)
         assert "mems0" in report.resources and "mems1" in report.resources
+
+
+class TestNearAdmissionLimit:
+    """The analytical sizes still execute jitter-free at populations
+    near each configuration's admission limit."""
+
+    def test_direct_pipeline(self):
+        params = SystemParameters.table3_default(n_streams=250,
+                                                 bit_rate=1 * MB, k=2)
+        report = simulate_direct_pipeline(params, n_cycles=20)
+        assert report.jitter_free
+        assert report.resources["disk"].worst_cycle_utilization > 0.8
+
+    def test_buffer_pipeline(self):
+        params = SystemParameters.table3_default(n_streams=200,
+                                                 bit_rate=1 * MB, k=2)
+        report = simulate_buffer_pipeline(design_mems_buffer(params),
+                                          n_hyper_periods=2)
+        assert report.jitter_free
+        assert report.notes["steady_short_reads"] == 0
+
+    def test_replicated_cache_pipeline(self):
+        params = SystemParameters.table3_default(n_streams=1_000,
+                                                 bit_rate=100 * KB, k=4)
+        design = design_mems_cache(params, CachePolicy.REPLICATED,
+                                   BimodalPopularity(5, 95))
+        assert simulate_cache_pipeline(design, n_cycles=15).jitter_free
