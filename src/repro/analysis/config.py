@@ -151,7 +151,8 @@ DEFAULT_SCOPES: tuple[tuple[str, ScopeSpec], ...] = (
         dirs=("simulation", "runtime", "workloads", "perf", "vod",
               "service"),
         files=("planner/incremental.py", "planner/batch.py",
-               "core/popularity.py"))),
+               "core/popularity.py", "core/multiclass.py",
+               "scheduling/time_cycle.py"))),
     ("float-equality", ScopeSpec(
         dirs=("core", "planner", "experiments", "vod", "service"))),
     ("unit-literals", ScopeSpec(exclude_files=("units.py",))),

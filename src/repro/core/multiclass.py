@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 from repro.core.parameters import SystemParameters
+from repro.core.summation import sequential_sum
 from repro.errors import AdmissionError, CapacityError, ConfigurationError
 
 
@@ -51,14 +52,15 @@ class StreamClass:
         return self.count * self.bit_rate
 
 
-def _aggregate(classes: list[StreamClass]) -> tuple[int, float]:
+def _aggregate(classes: list[StreamClass]) -> tuple[float, float]:
+    """(total stream count, aggregate load), both summed left to right."""
     if not classes:
         raise ConfigurationError("at least one stream class is required")
     names = [c.name for c in classes]
     if len(set(names)) != len(names):
         raise ConfigurationError(f"duplicate class names in {names!r}")
-    n_total = sum(c.count for c in classes)
-    load = sum(c.load for c in classes)
+    n_total = sequential_sum(c.count for c in classes)
+    load = sequential_sum(c.load for c in classes)
     return n_total, load
 
 
@@ -75,7 +77,8 @@ class MulticlassDesign:
     @property
     def total_dram(self) -> float:
         """Aggregate DRAM over all classes, bytes."""
-        return sum(c.count * s for c, s in zip(self.classes, self.buffers))
+        return sequential_sum(c.count * s
+                              for c, s in zip(self.classes, self.buffers))
 
     def buffer_for(self, name: str) -> float:
         """Per-stream buffer of the named class, bytes."""

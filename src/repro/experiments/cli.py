@@ -212,7 +212,7 @@ def _run_runtime(args: argparse.Namespace) -> int:
         print(result.summary())
         if args.json:
             with open(args.json, "w", encoding="utf-8") as handle:
-                handle.write(result.to_json(indent=2))
+                result.write_json(handle, indent=2)
             print(f"wrote {args.json}", file=sys.stderr)
         return 0
     if args.scenario is None:
@@ -255,10 +255,15 @@ def _run_runtime(args: argparse.Namespace) -> int:
         if args.json:
             import json as _json
 
-            payload = {name: _json.loads(result.to_json())
-                       for name, result in results.items()}
+            # ``json.dump({name: result, ...}, indent=2)``, built from
+            # each result's own JSON re-indented one level.
             with open(args.json, "w", encoding="utf-8") as handle:
-                _json.dump(payload, handle, indent=2)
+                for i, (name, result) in enumerate(results.items()):
+                    handle.write(("{" if i == 0 else ",") + "\n  "
+                                 + _json.dumps(name) + ": "
+                                 + result.to_json(indent=2).replace(
+                                     "\n", "\n  "))
+                handle.write("\n}")
             print(f"wrote {args.json}", file=sys.stderr)
         return 0
     config = build_service_scenario(args.scenario, seed=seed,
@@ -269,7 +274,7 @@ def _run_runtime(args: argparse.Namespace) -> int:
     print(result.summary())
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(result.to_json(indent=2))
+            result.write_json(handle, indent=2)
         print(f"wrote {args.json}", file=sys.stderr)
     return 0
 

@@ -28,9 +28,10 @@ one generator and the event calendar is stable for simultaneous events.
 from __future__ import annotations
 
 import heapq
-import json
+import io
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import TextIO
 
 import numpy as np
 
@@ -45,6 +46,7 @@ from repro.errors import (
     require,
 )
 from repro.planner.solver import Planner
+from repro.runtime.export import write_result
 from repro.runtime.failures import FailureEvent, FailureKind, plan_recovery
 from repro.runtime.metrics import MetricsLog, render_dashboard
 from repro.runtime.placement import AdaptivePlacement
@@ -263,8 +265,16 @@ class RuntimeResult:
         return (totals.get("admits", 0) - totals.get("departures", 0)
                 - totals.get("drops", 0))
 
-    def to_json(self, *, indent: int | None = None) -> str:
-        payload = {
+    def write_json(self, handle: TextIO, *,
+                   indent: int | None = None) -> None:
+        """Write the result JSON to ``handle``, record by record.
+
+        The bytes equal ``json.dumps(payload, indent=indent,
+        sort_keys=True)`` of the whole result; the session events are
+        streamed a block at a time (:func:`repro.runtime.export.
+        write_result`), so export never holds the payload.
+        """
+        write_result(handle, self.events, {
             "schema": 1,
             "summary": {
                 "final_mode": self.final_mode,
@@ -281,11 +291,15 @@ class RuntimeResult:
                 "notes": dict(sorted(self.notes.items())),
                 "planner_cache": dict(sorted(self.planner_cache.items())),
             },
-            "events": [e.to_dict() for e in self.events],
             "migrations": [m.to_dict() for m in self.migrations],
             "metrics": self.metrics.to_dict(),
-        }
-        return json.dumps(payload, indent=indent, sort_keys=True)
+        }, indent=indent)
+
+    def to_json(self, *, indent: int | None = None) -> str:
+        """The result JSON as one string (:meth:`write_json`'s bytes)."""
+        buffer = io.StringIO()
+        self.write_json(buffer, indent=indent)
+        return buffer.getvalue()
 
     def summary(self) -> str:
         totals = self.totals

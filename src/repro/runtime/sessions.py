@@ -52,11 +52,6 @@ class SessionEvent:
     #: Rejection/drop reason (None for admits and normal departures).
     reason: str | None = None
 
-    def to_dict(self) -> dict:
-        return {"time": self.time, "kind": self.kind.value,
-                "session_id": self.session_id, "title": self.title,
-                "served_by": self.served_by, "reason": self.reason}
-
 
 @dataclass
 class SessionWorkload:

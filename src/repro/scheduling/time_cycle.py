@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.core.buffer_model import BufferDesign
 from repro.core.parameters import SystemParameters
+from repro.core.summation import sequential_sum
 from repro.core.theorems import io_cycle_direct
 from repro.errors import ConfigurationError, SchedulingError
 
@@ -91,9 +92,9 @@ class TimeCycleSchedule:
         """Total payload moved by ``kind`` operations per hyper-period."""
         total = 0.0
         for cycle in self.disk_cycles:
-            total += sum(op.size for op in cycle if op.kind is kind)
+            total += sequential_sum(op.size for op in cycle if op.kind is kind)
         for cycle in self.mems_cycles:
-            total += sum(op.size for op in cycle if op.kind is kind)
+            total += sequential_sum(op.size for op in cycle if op.kind is kind)
         return total
 
     def verify_steady_state(self, *, rel_tol: float = 1e-9) -> None:
@@ -126,14 +127,14 @@ class TimeCycleSchedule:
                 f"consume {demand:.6g} B")
         per_stream = self.params.bit_rate * self.hyper_period
         for stream in range(self.n_streams):
-            got = sum(op.size
-                      for cycle in (self.mems_cycles or self.disk_cycles)
-                      for op in cycle
-                      if op.stream_id == stream
-                      and op.kind in (OperationKind.MEMS_READ,
-                                      OperationKind.DISK_READ)
-                      and (self.mems_cycles
-                           or op.device_index is None))
+            got = sequential_sum(
+                op.size
+                for cycle in (self.mems_cycles or self.disk_cycles)
+                for op in cycle
+                if op.stream_id == stream
+                and op.kind in (OperationKind.MEMS_READ,
+                                OperationKind.DISK_READ)
+                and (self.mems_cycles or op.device_index is None))
             if not math.isclose(got, per_stream, rel_tol=rel_tol):
                 raise SchedulingError(
                     f"stream {stream} receives {got:.6g} B per hyper-period, "

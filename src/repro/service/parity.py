@@ -29,8 +29,7 @@ another leg's run left behind.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.runtime.runtime import RuntimeResult, run_runtime
 from repro.service.config import RuntimeConfig
@@ -81,9 +80,8 @@ def run_both_cores(config: RuntimeConfig
 
 
 def _without_events_executed(result: RuntimeResult) -> str:
-    payload = json.loads(result.to_json(indent=None))
-    payload["summary"].pop("events_executed", None)
-    return json.dumps(payload, sort_keys=True)
+    """The compact result JSON with the engine event count zeroed."""
+    return replace(result, events_executed=0).to_json(indent=None)
 
 
 def compare_config(name: str, config: RuntimeConfig) -> ParityReport:
