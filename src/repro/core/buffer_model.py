@@ -38,14 +38,15 @@ from repro.core.theorems import io_cycle_direct
 from repro.errors import AdmissionError, CapacityError, SchedulingError
 
 
-def mems_cycle_floor(params: SystemParameters) -> float:
+def mems_cycle_floor(params: SystemParameters, *,
+                     n_streams: float | None = None) -> float:
     """Minimal feasible MEMS IO cycle ``C`` (Theorem 2).
 
-    Raises :class:`~repro.errors.AdmissionError` when the doubled
-    stream load saturates the bank:
-    ``k * R_mems <= 2 * (N + k - 1) * B``.
+    ``n_streams`` overrides ``params.n_streams``.  Raises
+    :class:`~repro.errors.AdmissionError` when the doubled stream load
+    saturates the bank: ``k * R_mems <= 2 * (N + k - 1) * B``.
     """
-    n = params.n_streams
+    n = params.n_streams if n_streams is None else n_streams
     if n == 0:
         return 0.0
     doubled_load = 2.0 * (n + params.k - 1) * params.bit_rate
@@ -59,19 +60,23 @@ def mems_cycle_floor(params: SystemParameters) -> float:
     return (n * params.l_mems * params.r_mems) / (bank_rate - doubled_load)
 
 
-def disk_cycle_bounds(params: SystemParameters) -> tuple[float, float]:
+def disk_cycle_bounds(params: SystemParameters, *,
+                      n_streams: float | None = None
+                      ) -> tuple[float, float]:
     """(lower, upper) bounds on ``T_disk`` from Eqs. 6 and 7.
 
     The lower bound is the disk's own real-time cycle (Eq. 6); the
     upper bound comes from fitting the in-flight data in the bank
     (Eq. 7) and is ``inf`` when ``size_mems`` is unlimited (None).
+    ``n_streams`` overrides ``params.n_streams``.
     """
-    lower = io_cycle_direct(params.n_streams, params.bit_rate,
-                            params.r_disk, params.l_disk)
+    n = params.n_streams if n_streams is None else n_streams
+    lower = io_cycle_direct(n, params.bit_rate, params.r_disk,
+                            params.l_disk)
     capacity = params.mems_bank_capacity
-    if capacity is None or params.n_streams == 0:
+    if capacity is None or n == 0:
         return lower, math.inf
-    upper = capacity / (2.0 * params.n_streams * params.bit_rate)
+    upper = capacity / (2.0 * n * params.bit_rate)
     return lower, upper
 
 
@@ -170,13 +175,29 @@ def design_mems_buffer(params: SystemParameters, *,
     SchedulingError
         If quantisation is requested and no integer ``M < N`` exists.
     """
-    n = params.n_streams
+    return BufferDesign(params, *buffer_operating_point(
+        params, params.n_streams, t_disk=t_disk, quantise=quantise))
+
+
+def buffer_operating_point(params: SystemParameters, n_streams: float, *,
+                           t_disk: float | None = None,
+                           quantise: bool = True
+                           ) -> tuple[float, float, float, float,
+                                      int | None, float | None]:
+    """Theorem 2 at ``n_streams`` streams, without building a design.
+
+    Returns the :class:`BufferDesign` fields after ``params`` —
+    ``(t_disk, cycle_floor, s_disk_mems, s_mems_dram, m, t_mems)`` —
+    of ``design_mems_buffer(params.replace(n_streams=n_streams), ...)``
+    bit for bit, and raises what it raises; ``params.n_streams`` is
+    ignored.  The planner solves through this, so probing a population
+    builds no parameter set.
+    """
+    n = n_streams
     if n == 0:
-        return BufferDesign(params=params, t_disk=0.0, cycle_floor=0.0,
-                            s_disk_mems=0.0, s_mems_dram=0.0, m=None,
-                            t_mems=None)
-    floor = mems_cycle_floor(params)
-    lower, upper = disk_cycle_bounds(params)
+        return 0.0, 0.0, 0.0, 0.0, None, None
+    floor = mems_cycle_floor(params, n_streams=n)
+    lower, upper = disk_cycle_bounds(params, n_streams=n)
     if t_disk is None:
         if upper < lower:
             raise CapacityError(
@@ -217,6 +238,4 @@ def design_mems_buffer(params: SystemParameters, *,
         else:
             m = None
             t_mems = None
-    return BufferDesign(params=params, t_disk=t_disk, cycle_floor=floor,
-                        s_disk_mems=s_disk_mems, s_mems_dram=s_mems_dram,
-                        m=m, t_mems=t_mems)
+    return t_disk, floor, s_disk_mems, s_mems_dram, m, t_mems

@@ -161,20 +161,35 @@ def design_mems_cache(params: SystemParameters, policy: CachePolicy,
     :class:`~repro.errors.AdmissionError` when either device class is
     over-committed.
     """
+    return CacheDesign(params, policy, *cache_operating_point(
+        params, policy, popularity, params.n_streams))
+
+
+def cache_operating_point(params: SystemParameters, policy: CachePolicy,
+                          popularity: PopularityDistribution,
+                          n_streams: float
+                          ) -> tuple[float, float, float, float, float,
+                                     float]:
+    """Theorems 3/4 at ``n_streams`` streams, without building a design.
+
+    Returns the :class:`CacheDesign` fields after ``policy`` —
+    ``(cached_fraction, hit_rate, n_cache_streams, n_disk_streams,
+    s_mems_dram, s_disk_dram)`` — of ``design_mems_cache(
+    params.replace(n_streams=n_streams), ...)`` bit for bit, and raises
+    what it raises; ``params.n_streams`` is ignored.  The planner
+    solves through this, so probing a population builds no parameter
+    set.
+    """
     if params.size_mems is None or params.size_disk is None:
         raise ConfigurationError(
             "the cache model needs finite size_mems and size_disk")
     p = cache_capacity_fraction(policy, params.k, params.size_mems,
                                 params.size_disk)
     h = popularity.hit_rate(p)
-    n = params.n_streams
-    n_cache = h * n
-    n_disk = (1.0 - h) * n
+    n_cache = h * n_streams
+    n_disk = (1.0 - h) * n_streams
     s_mems = cache_buffer(policy, n_cache, params.bit_rate, params.k,
                           params.r_mems, params.l_mems)
     s_disk = min_buffer_direct(n_disk, params.bit_rate, params.r_disk,
                                params.l_disk)
-    return CacheDesign(params=params, policy=policy, cached_fraction=p,
-                       hit_rate=h, n_cache_streams=n_cache,
-                       n_disk_streams=n_disk, s_mems_dram=s_mems,
-                       s_disk_dram=s_disk)
+    return p, h, n_cache, n_disk, s_mems, s_disk

@@ -165,6 +165,24 @@ class SystemParameters:
         """Return a copy with the given fields replaced."""
         return dataclasses.replace(self, **changes)
 
+    @property
+    def base(self) -> "SystemParameters":
+        """This parameter set with ``n_streams`` zeroed.
+
+        The population-free half of every planner key: a solve at ``n``
+        streams is keyed ``(base, ..., n)``.  ``self`` when already
+        zero; otherwise built once and kept on the instance, so a caller
+        that re-asks with the same object pays one copy, not one per
+        query.
+        """
+        if self.n_streams == 0:
+            return self
+        base = self.__dict__.get("_base")
+        if base is None:
+            base = self.replace(n_streams=0)
+            object.__setattr__(self, "_base", base)
+        return base
+
     def with_latency_ratio(self, ratio: float) -> "SystemParameters":
         """Copy with ``l_mems`` set so that ``l_disk / l_mems == ratio``.
 

@@ -53,15 +53,18 @@ class StartupLatency:
                 f"worst ({self.worst!r}) below expected ({self.expected!r})")
 
 
-def direct_startup(params: SystemParameters) -> StartupLatency:
+def direct_startup(params: SystemParameters, *,
+                   n_streams: float | None = None) -> StartupLatency:
     """Startup of the plain disk-to-DRAM server.
 
     The arriving stream's first IO is scheduled in the next cycle slot:
     worst case one full cycle plus its own IO service, expected half a
-    cycle plus the service.
+    cycle plus the service.  ``n_streams`` overrides
+    ``params.n_streams``.
     """
-    t_cycle = io_cycle_direct(params.n_streams, params.bit_rate,
-                              params.r_disk, params.l_disk)
+    n = params.n_streams if n_streams is None else n_streams
+    t_cycle = io_cycle_direct(n, params.bit_rate, params.r_disk,
+                              params.l_disk)
     io_service = params.l_disk + params.bit_rate * t_cycle / params.r_disk
     return StartupLatency(worst=t_cycle + io_service,
                           expected=t_cycle / 2.0 + io_service,

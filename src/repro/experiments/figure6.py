@@ -94,13 +94,12 @@ def _sweep_rate(item: tuple[str, float, bool, int, float]) -> Series:
     planner = default_planner()
     configuration = (Configuration.buffer(k) if with_mems
                      else Configuration.direct())
+    base = SystemParameters.table3_default(
+        n_streams=0, bit_rate=bit_rate, k=k, size_mems_unlimited=True)
     xs: list[float] = []
     ys: list[float] = []
     for n in _stream_counts_for(bit_rate, max_streams=max_streams):
-        params = SystemParameters.table3_default(
-            n_streams=n, bit_rate=bit_rate, k=k,
-            size_mems_unlimited=True)
-        plan = planner.plan(params, configuration)
+        plan = planner.plan(base, configuration, n)
         if not plan.feasible:
             break  # load saturates the device; the curve ends here
         xs.append(float(n))

@@ -442,8 +442,10 @@ def bench_admission_storm(preset: str) -> dict[str, float]:
     storm runs twice, against a cold planner (``warm_start=False``) and
     a warm-start one; the warm pass is the timed subject, and both
     probe totals are reported, with their ``probe_ratio`` (cold probes /
-    warm probes).  The counts are deterministic, so the tier-1 suite
-    pins them exactly at the ``small`` preset.
+    warm probes), plus the warm pass's plan-cache misses — the forward
+    and inverse solves it computed, which admits below the capacity
+    threshold must not add to.  The counts are deterministic, so the
+    tier-1 suite pins them exactly at the ``small`` preset.
     """
     from repro.core.parameters import SystemParameters
     from repro.planner.solver import Planner
@@ -486,7 +488,8 @@ def bench_admission_storm(preset: str) -> dict[str, float]:
             "planner_probes_cold_run": probes_cold,
             "planner_probes_warm_run": probes_warm,
             "probe_ratio": (probes_cold / probes_warm
-                            if probes_warm else 0.0)}
+                            if probes_warm else 0.0),
+            "plan_cache_misses_warm_run": float(stats["misses"])}
 
 
 def bench_replan_epochs(preset: str) -> dict[str, float]:

@@ -343,8 +343,7 @@ def demand_curve(params: SystemParameters, configuration: Configuration,
     """Aggregate DRAM demand at each population; ``inf`` if infeasible.
 
     Element ``i`` equals
-    ``planner.plan(params.replace(n_streams=populations[i]),
-    configuration).total_dram`` (or ``inf`` when that plan is
+    ``planner.plan(params, configuration, populations[i]).total_dram`` (or ``inf`` when that plan is
     infeasible) to the last bit.
     """
     n = np.asarray(populations, dtype=np.float64)
@@ -359,10 +358,10 @@ def demand_at(lanes: Sequence[tuple[SystemParameters, Configuration]],
     """Aggregate DRAM demand of each lane at one shared population.
 
     The candidate-evaluation twin of :func:`demand_curve`: one
-    population, many ``(params, configuration)`` lanes.  Element ``i``
-    equals ``planner.plan(lanes[i][0].replace(n_streams=population),
-    lanes[i][1]).total_dram`` (or ``inf`` when that plan is infeasible)
-    to the last bit.  Lanes are grouped by configuration kind, so a
+    population, many ``(params, configuration)`` lanes (each lane's
+    ``params.n_streams`` is ignored).  Element ``i`` equals
+    ``planner.plan(lanes[i][0], lanes[i][1], population).total_dram``
+    (or ``inf`` when that plan is infeasible) to the last bit.  Lanes are grouped by configuration kind, so a
     mixed slate (say a cache policy against a prefix spelling) batches
     within each kind.  The epoch placement controllers use this to
     judge their candidate policies in one vector evaluation instead of

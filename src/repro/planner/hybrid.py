@@ -91,8 +91,7 @@ def hybrid_throughput(params: SystemParameters, *, k_cache: int,
                                          popularity)
     planner = default_planner()
     max_streams = planner.max_streams(params, configuration, dram_budget)
-    hit_rate = planner.plan(params.replace(n_streams=0),
-                            configuration).hit_rate
+    hit_rate = planner.plan(params, configuration, 0).hit_rate
     require(hit_rate is not None,
             "hybrid plan at n_streams=0 must report a hit rate")
     return HybridDesign(k_cache=k_cache, k_buffer=k_buffer, policy=policy,

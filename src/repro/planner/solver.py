@@ -5,9 +5,10 @@ Configuration)`` pair, the three questions every layer of the
 reproduction asks:
 
 * :meth:`Planner.plan` — the forward solve: DRAM demand and cycle
-  structure at ``params.n_streams`` (Theorems 1-4 and the hybrid
-  split), returned as a :class:`~repro.planner.plan.Plan` with
-  feasibility diagnostics instead of exceptions;
+  structure at a population (``params.n_streams``, or an explicit
+  ``n_streams`` argument; Theorems 1-4 and the hybrid split), returned
+  as a :class:`~repro.planner.plan.Plan` with feasibility diagnostics
+  instead of exceptions;
 * :meth:`Planner.max_streams` — the continuous inverse: the largest
   admissible population under a DRAM budget (Figures 9/10 sweeps,
   hybrid split scans);
@@ -16,10 +17,11 @@ reproduction asks:
   online runtime use).
 
 Every solve is memoized in a :class:`~repro.planner.cache.PlanCache`
-keyed on the (hashable, frozen) parameter set and configuration, so
-figure sweeps, Erlang-B capacity queries, and runtime epoch re-planning
-stop recomputing identical solves; ``params.replace(...)`` produces a
-new key and therefore a fresh solve.  A process-wide
+keyed on the population-free parameter set (``params.base``), the
+configuration and — for forward solves — the population, so figure
+sweeps, Erlang-B capacity queries, and runtime epoch re-planning stop
+recomputing identical solves; any other ``params.replace(...)``
+produces a new key and therefore a fresh solve.  A process-wide
 :func:`default_planner` serves the stateless wrappers in
 :mod:`repro.planner.throughput` and :mod:`repro.planner.hybrid`; components
 with their own lifecycle (the online runtime) construct a private
@@ -28,18 +30,14 @@ planner so its counters describe just that run.
 
 from __future__ import annotations
 
-from repro.core.buffer_model import BufferDesign, design_mems_buffer
+from repro.core.buffer_model import buffer_operating_point
 from repro.core.cache_model import (
     cache_buffer,
     cache_capacity_fraction,
-    design_mems_cache,
+    cache_operating_point,
 )
 from repro.core.parameters import SystemParameters
-from repro.core.theorems import (
-    max_streams_direct,
-    min_buffer_direct,
-    min_buffer_disk_dram,
-)
+from repro.core.theorems import max_streams_direct, min_buffer_direct
 from repro.errors import (
     AdmissionError,
     CapacityError,
@@ -133,9 +131,16 @@ class Planner:
     # -- Forward solve -------------------------------------------------------
 
     def plan(self, params: SystemParameters, configuration: Configuration,
-             *, quantise: bool = False) -> Plan:
-        """Solve ``configuration`` at ``params.n_streams`` streams.
+             n_streams: float | None = None, *,
+             quantise: bool = False) -> Plan:
+        """Solve ``configuration`` at ``n_streams`` streams.
 
+        ``n_streams`` defaults to ``params.n_streams``; when given,
+        ``params.n_streams`` is ignored.  Solves are memoized under
+        ``(params.base, configuration, n, quantise)``, so a caller
+        holding a population-free parameter set (the admission
+        controller, the capacity probes, the runtime's replans) solves
+        any population without building a parameter set for it.
         Infeasible operating points come back as ``Plan(feasible=False)``
         with the diagnosing exception attached (see
         :meth:`~repro.planner.plan.Plan.require`); malformed requests
@@ -144,25 +149,30 @@ class Planner:
         buffer configurations (the Theorem 2 default elsewhere in the
         library is the unquantised closed form).
         """
-        key = ("plan", params, configuration, quantise)
+        n = params.n_streams if n_streams is None else n_streams
+        if n < 0:
+            raise ConfigurationError(f"n_streams must be >= 0, got {n!r}")
+        base = params.base
+        key = ("plan", base, configuration, n, quantise)
         return self._cache.get_or_compute(
-            key, lambda: self._solve_plan(params, configuration, quantise))
+            key, lambda: self._solve_plan(base, configuration, n, quantise))
 
-    def _solve_plan(self, params: SystemParameters,
-                    configuration: Configuration, quantise: bool) -> Plan:
+    def _solve_plan(self, base: SystemParameters,
+                    configuration: Configuration, n: float,
+                    quantise: bool) -> Plan:
         kind = configuration.kind
         try:
             if kind is ConfigurationKind.DIRECT:
-                return self._plan_direct(params, configuration)
+                return self._plan_direct(base, configuration, n)
             if kind is ConfigurationKind.BUFFER:
-                return self._plan_buffer(params, configuration, quantise)
+                return self._plan_buffer(base, configuration, n, quantise)
             if kind is ConfigurationKind.CACHE:
-                return self._plan_cache(params, configuration)
+                return self._plan_cache(base, configuration, n)
             if kind is ConfigurationKind.PREFIX:
-                return self._plan_prefix(params, configuration)
-            return self._plan_hybrid(params, configuration)
+                return self._plan_prefix(base, configuration, n)
+            return self._plan_hybrid(base, configuration, n)
         except _FEASIBILITY_ERRORS as exc:
-            return Plan(params=params, configuration=configuration,
+            return Plan(base=base, n_streams=n, configuration=configuration,
                         feasible=False, failure=exc)
 
     @staticmethod
@@ -172,87 +182,86 @@ class Planner:
             return params
         return params.replace(k=configuration.k)
 
-    def _plan_direct(self, params: SystemParameters,
-                     configuration: Configuration) -> Plan:
-        per_stream = min_buffer_disk_dram(params)
-        n = params.n_streams
-        return Plan(params=params, configuration=configuration,
+    def _plan_direct(self, base: SystemParameters,
+                     configuration: Configuration, n: float) -> Plan:
+        per_stream = min_buffer_direct(n, base.bit_rate, base.r_disk,
+                                       base.l_disk)
+        return Plan(base=base, n_streams=n, configuration=configuration,
                     feasible=True, per_stream_dram=per_stream,
                     total_dram=n * per_stream,
-                    t_disk=per_stream / params.bit_rate if n else None)
+                    t_disk=per_stream / base.bit_rate if n else None)
 
-    def _plan_buffer(self, params: SystemParameters,
-                     configuration: Configuration, quantise: bool) -> Plan:
-        solve_params = self._effective_params(params, configuration)
-        design = design_mems_buffer(solve_params, quantise=quantise)
-        return Plan(params=solve_params, configuration=configuration,
-                    feasible=True, per_stream_dram=design.s_mems_dram,
-                    total_dram=design.total_dram, t_disk=design.t_disk,
-                    t_mems=design.t_mems, cycle_floor=design.cycle_floor,
-                    design=design)
+    def _plan_buffer(self, base: SystemParameters,
+                     configuration: Configuration, n: float,
+                     quantise: bool) -> Plan:
+        solve = self._effective_params(base, configuration)
+        t_disk, floor, _, per_stream, _, t_mems = buffer_operating_point(
+            solve, n, quantise=quantise)
+        return Plan(base=solve, n_streams=n, configuration=configuration,
+                    feasible=True, per_stream_dram=per_stream,
+                    total_dram=n * per_stream, t_disk=t_disk,
+                    t_mems=t_mems, cycle_floor=floor, quantise=quantise)
 
-    def _plan_cache(self, params: SystemParameters,
-                    configuration: Configuration) -> Plan:
-        solve_params = self._effective_params(params, configuration)
+    def _plan_cache(self, base: SystemParameters,
+                    configuration: Configuration, n: float) -> Plan:
+        solve = self._effective_params(base, configuration)
         require(configuration.policy is not None
                 and configuration.popularity is not None,
                 "cache Configuration validated without policy/popularity")
-        design = design_mems_cache(solve_params, configuration.policy,
-                                   configuration.popularity)
-        n = solve_params.n_streams
-        total = design.total_dram
-        return Plan(params=solve_params, configuration=configuration,
+        fraction, hit_rate, n_cache, n_disk, s_mems, s_disk = \
+            cache_operating_point(solve, configuration.policy,
+                                  configuration.popularity, n)
+        # CacheDesign.total_dram, in its summation order.
+        total = n_cache * s_mems + n_disk * s_disk
+        return Plan(base=solve, n_streams=n, configuration=configuration,
                     feasible=True,
                     per_stream_dram=total / n if n else 0.0,
-                    total_dram=total,
-                    capacity_fraction=design.cached_fraction,
-                    hit_rate=design.hit_rate, design=design)
+                    total_dram=total, capacity_fraction=fraction,
+                    hit_rate=hit_rate)
 
-    def _plan_prefix(self, params: SystemParameters,
-                     configuration: Configuration) -> Plan:
+    def _plan_prefix(self, base: SystemParameters,
+                     configuration: Configuration, n: float) -> Plan:
         """The prefix-cache demand model of :mod:`repro.vod`.
 
-        ``params.n_streams`` counts *sessions*; ``fanout`` of them
-        share each IO stream (batched multicast joins read the shared
-        stream's DRAM buffer, charging no capacity of their own).  Of
-        the resulting IO streams, the expected ``mems_fraction`` load
-        is served from the MEMS-resident prefixes at cache service
-        quality (Eqs. 12/13) and the remainder streams tails from the
-        disk at Theorem 1 quality — the same expected-value split the
+        ``n`` counts *sessions*; ``fanout`` of them share each IO
+        stream (batched multicast joins read the shared stream's DRAM
+        buffer, charging no capacity of their own).  Of the resulting
+        IO streams, the expected ``mems_fraction`` load is served from
+        the MEMS-resident prefixes at cache service quality (Eqs.
+        12/13) and the remainder streams tails from the disk at
+        Theorem 1 quality — the same expected-value split the
         whole-stream cache model uses, applied per byte instead of per
         title.  Total demand is strictly increasing in the population,
         so the inverse capacity searches apply unchanged.
         """
-        solve_params = self._effective_params(params, configuration)
+        solve = self._effective_params(base, configuration)
         require(configuration.policy is not None
                 and configuration.mems_fraction is not None
                 and configuration.fanout is not None,
                 "prefix Configuration validated without policy/"
                 "mems_fraction/fanout")
         fraction = configuration.mems_fraction
-        n_sessions = solve_params.n_streams
-        n_io = n_sessions / configuration.fanout
+        n_io = n / configuration.fanout
         n_mems = fraction * n_io
         n_disk = (1.0 - fraction) * n_io
         dram_mems = 0.0
         if n_mems > 0:
             dram_mems = n_mems * cache_buffer(
-                configuration.policy, n_mems, solve_params.bit_rate,
-                solve_params.k, solve_params.r_mems, solve_params.l_mems)
+                configuration.policy, n_mems, solve.bit_rate,
+                solve.k, solve.r_mems, solve.l_mems)
         dram_disk = 0.0
         if n_disk > 0:
             dram_disk = n_disk * min_buffer_direct(
-                n_disk, solve_params.bit_rate, solve_params.r_disk,
-                solve_params.l_disk)
+                n_disk, solve.bit_rate, solve.r_disk, solve.l_disk)
         total = dram_mems + dram_disk
-        return Plan(params=solve_params, configuration=configuration,
+        return Plan(base=solve, n_streams=n, configuration=configuration,
                     feasible=True,
-                    per_stream_dram=total / n_sessions if n_sessions else 0.0,
+                    per_stream_dram=total / n if n else 0.0,
                     total_dram=total, hit_rate=fraction)
 
-    def _plan_hybrid(self, params: SystemParameters,
-                     configuration: Configuration) -> Plan:
-        if params.size_mems is None or params.size_disk is None:
+    def _plan_hybrid(self, base: SystemParameters,
+                     configuration: Configuration, n: float) -> Plan:
+        if base.size_mems is None or base.size_disk is None:
             raise ConfigurationError(
                 "hybrid analysis needs finite size_mems and size_disk")
         require(configuration.policy is not None
@@ -270,41 +279,34 @@ class Planner:
             hit_rate = 0.0
         else:
             fraction = cache_capacity_fraction(policy, k_cache,
-                                               params.size_mems,
-                                               params.size_disk)
+                                               base.size_mems,
+                                               base.size_disk)
             hit_rate = configuration.popularity.hit_rate(fraction)
-        n = params.n_streams
         n_cache = hit_rate * n
         n_disk = (1.0 - hit_rate) * n
-        buffer_design: BufferDesign | None = None
+        t_disk = floor = None
         if n_cache > 0:
             dram_cache = n_cache * cache_buffer(
-                policy, n_cache, params.bit_rate, k_cache, params.r_mems,
-                params.l_mems)
+                policy, n_cache, base.bit_rate, k_cache, base.r_mems,
+                base.l_mems)
         else:
             dram_cache = 0.0
         if n_disk > 0:
             if k_buffer > 0:
-                buffer_design = design_mems_buffer(
-                    params.replace(n_streams=n_disk, k=k_buffer),
-                    quantise=False)
-                dram_disk = buffer_design.total_dram
+                t_disk, floor, _, per_stream, _, _ = buffer_operating_point(
+                    base.replace(k=k_buffer), n_disk, quantise=False)
+                dram_disk = n_disk * per_stream
             else:
                 dram_disk = n_disk * min_buffer_direct(
-                    n_disk, params.bit_rate, params.r_disk, params.l_disk)
+                    n_disk, base.bit_rate, base.r_disk, base.l_disk)
         else:
             dram_disk = 0.0
         total = dram_cache + dram_disk
-        return Plan(params=params, configuration=configuration,
+        return Plan(base=base, n_streams=n, configuration=configuration,
                     feasible=True,
                     per_stream_dram=total / n if n else 0.0,
-                    total_dram=total,
-                    t_disk=None if buffer_design is None
-                    else buffer_design.t_disk,
-                    cycle_floor=None if buffer_design is None
-                    else buffer_design.cycle_floor,
-                    capacity_fraction=fraction, hit_rate=hit_rate,
-                    design=buffer_design)
+                    total_dram=total, t_disk=t_disk, cycle_floor=floor,
+                    capacity_fraction=fraction, hit_rate=hit_rate)
 
     # -- Inverse solves ------------------------------------------------------
 
@@ -325,11 +327,11 @@ class Planner:
         if dram_budget < 0:
             raise ConfigurationError(
                 f"dram_budget must be >= 0, got {dram_budget!r}")
-        base = params.replace(n_streams=0)
+        base = params.base
         key = ("max_streams", base, configuration, dram_budget)
         return self._cache.get_or_compute(
             key,
-            lambda: self._solve_max_streams(params, configuration,
+            lambda: self._solve_max_streams(base, configuration,
                                             dram_budget,
                                             ("real", base, configuration),
                                             hint))
@@ -340,11 +342,12 @@ class Planner:
 
         The doubling+bisection searches probe the same populations over
         and over across nearby budgets (the doubling phase always walks
-        1, 2, 4, ...), and each probe through :meth:`plan` pays a
-        ``params.replace`` plus a full cache-key hash.  This keys a
-        small ``n -> total_dram`` dict on the budget-independent part of
-        the query — ``(params sans n_streams, configuration)`` — so
-        repeated sweep points are one dict lookup.  Infeasible points
+        1, 2, 4, ...), and each probe through :meth:`plan` pays a full
+        cache-key hash.  This keys a small ``n -> total_dram`` dict on
+        the budget-independent part of the query — ``(params.base,
+        configuration)`` — so repeated sweep points are one dict
+        lookup; a new point is one population-argument :meth:`plan`,
+        which builds no parameter set.  Infeasible points
         are recorded as ``inf`` (matching :meth:`Plan.fits`, which is
         false for them at any budget).  The dict lives *inside* the
         :class:`~repro.planner.cache.PlanCache` — visible in the cache
@@ -356,14 +359,14 @@ class Planner:
         demand memos are small (one float per probed population) and
         one-per-axis, so exempting them from eviction costs little.
         """
+        base = params.base
         memo: dict[float, float] = self._cache.get_or_compute(
-            ("demand", params.replace(n_streams=0), configuration), dict,
-            pin=True)
+            ("demand", base, configuration), dict, pin=True)
 
         def total_dram(n: float) -> float:
             value = memo.get(n)
             if value is None:
-                plan = self.plan(params.replace(n_streams=n), configuration)
+                plan = self.plan(base, configuration, n)
                 value = plan.total_dram if plan.feasible else float("inf")
                 memo[n] = value
             return value
@@ -407,13 +410,13 @@ class Planner:
         optionally seeds the search with a previous capacity (see
         :meth:`max_streams`); the answer is bit-identical regardless.
         """
-        base = params.replace(n_streams=0)
+        base = params.base
         key = ("capacity", base, configuration, dram_budget, limit)
         axis = ("int", base, configuration)
 
         def solve() -> int:
             chosen = self._resolve_hint(axis, hint)
-            demand = self._demand(params, configuration)
+            demand = self._demand(base, configuration)
             result = hinted_max_feasible_int(
                 self._counted(lambda n: demand(n) <= dram_budget,
                               warm=chosen is not None),

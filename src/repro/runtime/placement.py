@@ -36,6 +36,7 @@ from repro.core.popularity import EmpiricalPopularity, checked_prior
 from repro.errors import ConfigurationError
 from repro.planner.batch import demand_at
 from repro.planner.configuration import Configuration
+from repro.planner.plan import Plan
 from repro.planner.solver import Planner, default_planner
 
 
@@ -52,13 +53,20 @@ class PlacementDecision:
     migrations_out: tuple[int, ...]
     #: Popularity model fitted to the observed traffic.
     popularity: EmpiricalPopularity
-    #: Cache design at the live population; None when no policy is
-    #: schedulable at that population (the runtime must shed load).
-    design: CacheDesign | None
+    #: The chosen policy's plan at the live population; None when no
+    #: policy is schedulable at that population (the runtime must shed
+    #: load).
+    plan: Plan | None
     #: Admission capacity under the chosen model, pre-solved with the
     #: previous epoch's capacity as a warm-start hint; None when the
     #: caller passed no ``dram_budget`` to :meth:`replan`.
     capacity: int | None = None
+
+    @property
+    def design(self) -> CacheDesign | None:
+        """Cache design at the live population (None when infeasible);
+        built from :attr:`plan` on first read."""
+        return None if self.plan is None else self.plan.design
 
 
 class AdaptivePlacement:
@@ -155,26 +163,25 @@ class AdaptivePlacement:
         popularity = EmpiricalPopularity.from_counts(self._scores)
 
         best_policy: CachePolicy | None = None
-        best_design: CacheDesign | None = None
-        at_population = params.replace(n_streams=n_active)
+        best_plan: Plan | None = None
         # Judge both candidate policies in one batch-demand evaluation
         # (bit-identical to the scalar solves; ``inf`` marks an
         # infeasible candidate).  Only the winner pays a scalar planner
-        # solve — that is the plan whose design the decision carries
-        # and the admission controller replays from the planner cache.
-        candidates = (CachePolicy.REPLICATED, CachePolicy.STRIPED)
-        demands = demand_at(
-            [(at_population, Configuration.cache(policy, popularity))
-             for policy in candidates], n_active)
+        # solve, at the live population — that is the plan whose design
+        # the decision carries and the admission controller replays
+        # from the planner cache.
+        specs = {policy: Configuration.cache(policy, popularity)
+                 for policy in (CachePolicy.REPLICATED, CachePolicy.STRIPED)}
+        demands = demand_at([(params, spec) for spec in specs.values()],
+                            n_active)
         best_dram = float("inf")
-        for policy, dram in zip(candidates, demands):
+        for policy, dram in zip(specs, demands):
             if dram < best_dram:
                 best_policy = policy
                 best_dram = float(dram)
         if best_policy is not None:
-            best_design = self._planner.plan(
-                at_population,
-                Configuration.cache(best_policy, popularity)).design
+            best_plan = self._planner.plan(params, specs[best_policy],
+                                           n_active)
         else:
             # Neither policy is schedulable at this population; report
             # under the replicated geometry so the caller can shed load
@@ -193,8 +200,8 @@ class AdaptivePlacement:
         capacity: int | None = None
         if dram_budget is not None:
             capacity = self._planner.capacity(
-                params, Configuration.cache(best_policy, popularity),
-                dram_budget, hint=self._capacity_hint)
+                params, specs[best_policy], dram_budget,
+                hint=self._capacity_hint)
             self._capacity_hint = capacity
         decision = PlacementDecision(
             policy=best_policy,
@@ -202,7 +209,7 @@ class AdaptivePlacement:
             migrations_in=_titles(new_mask & ~old_mask),
             migrations_out=_titles(old_mask & ~new_mask),
             popularity=popularity,
-            design=best_design,
+            plan=best_plan,
             capacity=capacity)
         self._cached = decision.cached_titles
         self._cached_mask = new_mask

@@ -377,6 +377,10 @@ class ServerRuntime:
         self._policy: CachePolicy | None = None
         self._k_active = config.params.k
         self._rate_factor = 1.0  # surviving MEMS media-rate multiplier
+        #: The healthy parameters projected onto the surviving bank;
+        #: None until first asked and after a fault moves
+        #: ``_k_active``/``_rate_factor``.
+        self._degraded: SystemParameters | None = None
         self._degraded_since: float | None = None
         self._degraded_time = 0.0
         self._arrivals_total = 0
@@ -489,10 +493,19 @@ class ServerRuntime:
     # -- Geometry ------------------------------------------------------------
 
     def _degraded_params(self) -> SystemParameters:
-        """Healthy parameters projected onto the surviving bank."""
-        params = self.config.params
-        k = max(self._k_active, 1)
-        return params.replace(k=k, r_mems=params.r_mems * self._rate_factor)
+        """Healthy parameters projected onto the surviving bank.
+
+        Population-free (``n_streams=0``): every consumer passes the
+        population it solves at.  Built once per change of the bank,
+        so an epoch replan and the admission swap after it share one
+        parameter set.
+        """
+        if self._degraded is None:
+            params = self.config.params
+            self._degraded = params.replace(
+                n_streams=0, k=max(self._k_active, 1),
+                r_mems=params.r_mems * self._rate_factor)
+        return self._degraded
 
     def _served_by(self, title: int) -> str:
         if self._mode == "cache":
@@ -1047,6 +1060,7 @@ class ServerRuntime:
             self._k_active = max(0, self._k_active - event.count)
         else:
             self._rate_factor *= event.factor
+        self._degraded = None
         if self._mode == "prefix":
             self._fail_prefix(sim)
             self._bank = (None if self._k_active < 1 else MemsBank(

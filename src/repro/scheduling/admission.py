@@ -17,15 +17,12 @@ are memoized rather than re-bisected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.core.cache_model import CachePolicy
 from repro.core.parameters import SystemParameters
 from repro.core.popularity import PopularityDistribution
-from repro.errors import (
-    AdmissionError,
-    CapacityError,
-    ConfigurationError,
-)
+from repro.errors import ConfigurationError
 from repro.planner.configuration import Configuration
 from repro.planner.search import DEFAULT_INT_LIMIT
 from repro.planner.solver import Planner, default_planner
@@ -39,10 +36,35 @@ class AdmissionDecision:
     #: Stream population if admitted (current + 1).
     n_streams: float
     #: Total DRAM the admitted population would need, bytes (None when
-    #: the rejection was a bandwidth/capacity failure).
+    #: the rejection was a bandwidth/capacity failure).  An admit below
+    #: the capacity threshold solves it on first read.
     dram_required: float | None
     #: Human-readable reason for a rejection (None when admitted).
     reason: str | None = None
+
+
+class _Admitted(AdmissionDecision):
+    """An admitted decision whose ``dram_required`` resolves on first read.
+
+    Admission at or below the capacity threshold needs no solve, and
+    the runtime never reads an admit's DRAM (it asks
+    :meth:`AdmissionController.dram_required` at the metrics seal and
+    in recovery), so the demand is only computed if someone asks.  The
+    demand model is captured at admission, so a later
+    :meth:`AdmissionController.reconfigure` does not change the answer;
+    the planner's plan cache answers the read.
+    """
+
+    def __init__(self, n_streams: int, planner: Planner,
+                 params: SystemParameters, spec: Configuration) -> None:
+        # Frozen: write the instance dict, as the dataclass __init__ does.
+        vars(self).update(admitted=True, n_streams=n_streams, reason=None,
+                          _model=(planner, params, spec))
+
+    @cached_property
+    def dram_required(self) -> float:
+        planner, params, spec = self._model
+        return planner.plan(params, spec, self.n_streams).require().total_dram
 
 
 class AdmissionController:
@@ -80,7 +102,7 @@ class AdmissionController:
                     "fields, not both")
         else:
             self._check_configuration(configuration, policy, popularity)
-        self._params = params.replace(n_streams=0)
+        self._params = params.base
         self._dram_budget = dram_budget
         self._spec = spec
         self._configuration = (configuration if spec is None
@@ -100,12 +122,6 @@ class AdmissionController:
         #: re-keys the hint instead of seeding the new model's search
         #: with the old model's capacity.
         self._capacity_hints: dict[str, int] = {}
-        #: DRAM demand per population under the current model.  The
-        #: admission hot path asks for the same handful of populations
-        #: over and over (the count oscillates around capacity), so a
-        #: local dict answers repeats without re-keying the planner
-        #: cache.  Cleared on every :meth:`reconfigure`.
-        self._dram_memo: dict[float, float] = {}
         #: Finalized *rejections* per candidate population.  A rejection
         #: leaves the controller untouched and its decision (including
         #: the formatted reason string) is a pure function of the
@@ -160,28 +176,20 @@ class AdmissionController:
                 popularity=self._popularity)
         return self._spec_value
 
-    def _dram_required(self, n: float) -> float:
-        cached = self._dram_memo.get(n)
-        if cached is not None:
-            return cached
-        plan = self._planner.plan(self._params.replace(n_streams=n),
-                                  self._configuration_spec())
-        value = plan.require().total_dram
-        self._dram_memo[n] = value
-        return value
-
     def dram_required(self, n_streams: int | None = None) -> float:
         """DRAM the demand model charges for ``n_streams`` streams.
 
-        Defaults to the currently admitted population.  Raises
-        :class:`~repro.errors.AdmissionError` /
+        Defaults to the currently admitted population.  One
+        population-argument planner solve, answered by the plan cache
+        on a repeat.  Raises :class:`~repro.errors.AdmissionError` /
         :class:`~repro.errors.CapacityError` when the population is not
         schedulable at all (bandwidth or MEMS-capacity exhaustion).
         """
         n = self._admitted if n_streams is None else n_streams
         if n < 0:
             raise ConfigurationError(f"n_streams must be >= 0, got {n!r}")
-        return self._dram_required(n)
+        return self._planner.plan(self._params, self._configuration_spec(),
+                                  n).require().total_dram
 
     def reconfigure(self, *, params: SystemParameters | None = None,
                     configuration: str | None = None,
@@ -238,14 +246,13 @@ class AdmissionController:
                     f"dram_budget must be >= 0, got {dram_budget!r}")
             self._dram_budget = dram_budget
         if params is not None:
-            self._params = params.replace(n_streams=0)
+            self._params = params.base
         if self._configuration != old_kind:
             if self._capacity_hint is not None:
                 self._capacity_hints[old_kind] = self._capacity_hint
             self._capacity_hint = self._capacity_hints.get(
                 self._configuration)
         self._capacity_value = None
-        self._dram_memo.clear()
         self._reject_memo.clear()
         self._spec_value = None
 
@@ -282,31 +289,35 @@ class AdmissionController:
         """Test one more stream; admit it if the system stays feasible.
 
         Amortized O(1) per arrival: the candidate population is judged
-        against the cached capacity threshold, so between model changes
-        only the first call pays a (warm-started) solve.  A candidate
-        at or below the threshold is feasible by monotonicity and is
-        admitted outright; past it, the direct feasibility check runs
-        so rejections carry the same diagnosis (and the same reason
-        strings) as the uncached path — including populations beyond a
-        clamped search ``limit``.
+        against the cached capacity threshold.  Between model changes
+        the first call pays the (warm-started) capacity search; after
+        that, a candidate at or below the threshold is feasible by
+        monotonicity and is admitted with **zero** planner solves — its
+        ``dram_required`` is computed only if read.  Past the threshold,
+        one population-argument forward solve diagnoses the rejection
+        (usually a plan-cache hit: the capacity search probed the
+        population just past its answer), so rejections carry the same
+        diagnosis and reason strings as an uncached check — including
+        populations beyond a clamped search ``limit`` — and a repeat of
+        the same rejection replays the frozen decision.
         """
         candidate = self._admitted + 1
         if candidate <= self.capacity():
             self._admitted = candidate
-            return AdmissionDecision(admitted=True, n_streams=candidate,
-                                     dram_required=self._dram_required(
-                                         candidate))
+            return _Admitted(candidate, self._planner, self._params,
+                             self._configuration_spec())
         replay = self._reject_memo.get(candidate)
         if replay is not None:
             return replay
-        try:
-            dram = self._dram_required(candidate)
-        except (AdmissionError, CapacityError) as exc:
+        plan = self._planner.plan(self._params, self._configuration_spec(),
+                                  candidate)
+        if not plan.feasible:
             decision = AdmissionDecision(
                 admitted=False, n_streams=self._admitted,
-                dram_required=None, reason=str(exc))
+                dram_required=None, reason=plan.reason)
             self._reject_memo[candidate] = decision
             return decision
+        dram = plan.total_dram
         if dram > self._dram_budget:
             decision = AdmissionDecision(
                 admitted=False, n_streams=self._admitted, dram_required=dram,

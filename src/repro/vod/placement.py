@@ -229,7 +229,6 @@ class PrefixPlacement:
         previous = self._allocation
         resident = previous.resident_titles if previous is not None else ()
 
-        at_population = params.replace(n_streams=n_io_active)
         # Build both bank policies' candidate allocations (and their
         # planner spellings), then judge them in one batch-demand
         # evaluation — bit-identical to the scalar solves, with ``inf``
@@ -248,7 +247,7 @@ class PrefixPlacement:
             fraction = allocation.mems_fraction(weights)
             slates.append((policy, allocation, fraction,
                            Configuration.prefix(policy, fraction)))
-        demands = demand_at([(at_population, spec)
+        demands = demand_at([(params, spec)
                              for _, _, _, spec in slates], n_io_active)
         best: tuple[CachePolicy, PrefixAllocation, float,
                     Configuration] | None = None

@@ -53,7 +53,7 @@ def prefix_seconds(params: SystemParameters, *, population: float,
         raise ConfigurationError(f"floor must be >= 0, got {floor!r}")
     cap = _SIZING_LOAD_CAP * params.r_disk / params.bit_rate
     sizing_n = min(max(population, 1.0), cap)
-    latency = direct_startup(params.replace(n_streams=sizing_n)).worst
+    latency = direct_startup(params, n_streams=sizing_n).worst
     return max(safety * latency, floor)
 
 

@@ -191,6 +191,10 @@ class TestSmallPresetCounts:
         assert metrics["planner_probes_warm_run"] == 66
         assert metrics["probe_ratio"] == 480 / 66
         assert metrics["admissions"] == 2400
+        # Admits below the capacity threshold solve nothing: the warm
+        # storm's plan-cache misses are its capacity searches and the
+        # rejects past them (138 while every admit solved its DRAM).
+        assert metrics["plan_cache_misses_warm_run"] == 45
 
     def test_replan_epochs_probes(self):
         metrics = _small("replan_epochs")
