@@ -15,10 +15,10 @@ metrics as a :class:`BenchRecord`, serialised to a schema-versioned
   (:mod:`repro.planner.batch`): thousands of configuration points per
   array operation instead of one solve per Python call;
 * ``runtime_scenario`` — the ``device-failure`` online-server scenario
-  rate-amplified through the table session core: vectorized arrivals,
-  masked departure harvests, re-planning, failure recovery, O(changed)
+  rate-amplified through the self-driven run loop: vectorized arrivals,
+  departure-heap harvests, re-planning, failure recovery, O(changed)
   metrics intervals, gated on session-lifecycle events per second;
-* ``million_sessions`` — the table core's raw session throughput on a
+* ``million_sessions`` — the run loop's raw session throughput on a
   short-session torrent (``large`` preset: ~1M admitted sessions),
   gated on admitted sessions per wall second;
 * ``planner_cold`` / ``planner_warm`` — the memoizing planner on a
@@ -38,8 +38,8 @@ metrics as a :class:`BenchRecord`, serialised to a schema-versioned
   committed baseline gates the cold wall time, and the warm run must
   re-parse **zero** files (the CI gate asserts it);
 * ``service_churn`` — control-plane churn through the
-  :class:`~repro.service.facade.MediaService` facade on the table
-  session core: cycles of ``admit_block`` bursts / teardown /
+  :class:`~repro.service.facade.MediaService` facade, API-driven (one
+  calendar event per departure): cycles of ``admit_block`` bursts / teardown /
   reconfigure ops with the epoch replan running *off the request
   path* (``replan_latency > 0``), so admits landing inside each
   replan window park as PENDING tickets that the replan-done event
@@ -105,7 +105,7 @@ _PRESETS: dict[str, dict[str, float]] = {
               "million_horizon": 1_000.0,
               "lint_full": 1, "batch_points": 50_000},
     # The million-session preset: the ``million_sessions`` workload
-    # pushes ~1M admitted sessions through the table core; the other
+    # pushes ~1M admitted sessions through the run loop; the other
     # workloads scale between ``small`` and ``full``.
     "large": {"events": 500_000, "max_streams": 30_000.0,
               "horizon": 3_000.0, "grid": 10,
@@ -291,11 +291,10 @@ def bench_runtime_scenario(preset: str) -> dict[str, float]:
     """The ``device-failure`` online scenario, rate-amplified.
 
     The scenario's arrival rate is multiplied by the preset's
-    ``runtime_rate`` factor and the run goes through the table session
-    core (``session_core="table"``), so the timed region is dominated
-    by session lifecycle work — vectorized arrival draws, masked
-    departure harvests, O(changed) metrics intervals — rather than by
-    the handful of control timers.  The gated ``events_per_sec`` is
+    ``runtime_rate`` factor, so the timed region is dominated by
+    session lifecycle work — vectorized arrival draws, departure-heap
+    harvests, O(changed) metrics intervals — rather than by the handful
+    of control timers.  The gated ``events_per_sec`` is
     **session-lifecycle events** (arrivals, admits, rejects, departs,
     drops: ``len(result.events)``) per wall second; the calendar's own
     ``events_executed`` is reported informationally.
@@ -311,8 +310,7 @@ def bench_runtime_scenario(preset: str) -> dict[str, float]:
                                       horizon=horizon)
     workload = replace(scenario.workload, arrival_rate=(
         scenario.workload.arrival_rate * scale["runtime_rate"]))
-    config = scenario.replace(workload=workload,
-                              session_core="table").to_legacy()
+    config = scenario.replace(workload=workload).to_legacy()
     start = _elapsed()
     result = run_runtime(config)
     wall = _elapsed() - start
@@ -328,15 +326,15 @@ def bench_runtime_scenario(preset: str) -> dict[str, float]:
 
 
 def bench_million_sessions(preset: str) -> dict[str, float]:
-    """Raw session throughput of the table core, end to end.
+    """Raw session throughput of the self-driven run loop, end to end.
 
     The ``steady-disk`` scenario (plain disk, no placement epochs to
     speak of) re-rated to a short-session torrent: the preset's
     ``million_rate`` arrivals per second held for ``million_holding``
     seconds keeps the live population far below the admission capacity,
     so virtually every arrival admits and the run measures the pure
-    per-session cost of the struct-of-arrays core — chunked arrival
-    draws, row recycling, masked departure scans, metrics notes.  The
+    per-session cost of the struct-of-arrays store — chunked arrival
+    draws, departure-heap harvests, metrics notes.  The
     ``small`` preset admits ~150k sessions; ``large`` admits ~1M (the
     workload's namesake).  Gated on ``sessions_per_sec`` (admitted
     sessions per wall second).
@@ -350,8 +348,7 @@ def bench_million_sessions(preset: str) -> dict[str, float]:
     workload = replace(scenario.workload,
                        arrival_rate=scale["million_rate"],
                        mean_holding=scale["million_holding"])
-    config = scenario.replace(workload=workload,
-                              session_core="table").to_legacy()
+    config = scenario.replace(workload=workload).to_legacy()
     start = _elapsed()
     result = run_runtime(config)
     wall = _elapsed() - start
@@ -613,9 +610,10 @@ def bench_service_churn(preset: str) -> dict[str, float]:
     through one fused ``handle_arrival_block`` pass), fires a much
     larger burst down the synchronous bulk path, tears half the
     admitted sessions down, and nudges the DRAM budget through
-    ``reconfigure`` so the next cycle re-solves capacity.  The engine
-    runs the table session core, so the synchronous burst exercises
-    the saturated-tail bulk-reject path once capacity fills.  The
+    ``reconfigure`` so the next cycle re-solves capacity.  The service
+    is API-driven, so every admitted session's departure is a calendar
+    event, and the synchronous burst exercises the saturated-tail
+    bulk-reject path once capacity fills.  The
     gated ``ops_per_sec`` counts one op per issued ticket plus each
     teardown and reconfigure; ``pending_finalized`` pins that the
     off-path window actually parked work (pinned exactly at ``small``
@@ -634,8 +632,7 @@ def bench_service_churn(preset: str) -> dict[str, float]:
     latency = 5.0
     config = adaptive_cache(seed=3).replace(
         control=ControlConfig(epoch=300.0, metrics_interval=120.0,
-                              replan_latency=latency),
-        session_core="table")
+                              replan_latency=latency))
     service = MediaService(config)
     sim = service.sim
     log = EventLog()

@@ -8,10 +8,8 @@ replans run off the request path, whose backpressure regime is an
 explicit published state, and whose every control-plane action lands
 as a typed event on an :class:`~repro.service.events.EventBus`.
 :class:`~repro.service.traffic.TrafficProgram` replays the named
-scenarios through that API, and :mod:`repro.service.parity` proves the
-replay byte-identical to the engine loop, and the table session core
-byte-identical to the objects core apart from the engine's event
-count.
+scenarios through that service, and :mod:`repro.service.parity`
+proves the replay byte-identical to the engine loop.
 """
 
 from repro.service.backpressure import (
@@ -50,7 +48,6 @@ from repro.service.facade import AdmitTicket, MediaService, TicketState
 from repro.service.parity import (
     compare_scenario,
     verify_all,
-    verify_all_cores,
 )
 from repro.service.scenarios import (
     SERVICE_SCENARIOS,
@@ -96,5 +93,4 @@ __all__ = [
     "require_known_scenario",
     "run_service",
     "verify_all",
-    "verify_all_cores",
 ]

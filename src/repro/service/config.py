@@ -380,18 +380,8 @@ class RuntimeConfig:
     timeline: TimelineConfig = field(default_factory=TimelineConfig)
     device: str = "G3"
     seed: int = 0
-    #: How departures are scheduled ("objects": one calendar event per
-    #: session; "table": harvested in drained windows).  Both keep
-    #: sessions in one ``SessionTable`` and produce the same result
-    #: bytes apart from ``events_executed``, so this is purely a speed
-    #: knob; see the legacy config's field of the same name.
-    session_core: str = "objects"
 
     def __post_init__(self) -> None:
-        if self.session_core not in ("objects", "table"):
-            raise ConfigurationError(
-                f"session_core must be 'objects' or 'table', "
-                f"got {self.session_core!r}")
         if self.configuration not in ("none", "buffer", "cache", "prefix"):
             raise ConfigurationError(
                 f"configuration must be 'none', 'buffer', 'cache' or "
@@ -437,8 +427,7 @@ class RuntimeConfig:
             prefix_safety=self.placement.prefix_safety,
             prefix_floor=self.placement.prefix_floor,
             batch_window=self.placement.batch_window,
-            seed=self.seed,
-            session_core=self.session_core)
+            seed=self.seed)
 
     # -- Serialisation ----------------------------------------------------
 
@@ -456,9 +445,6 @@ class RuntimeConfig:
             "placement": self.placement.to_dict(),
             "timeline": self.timeline.to_dict(),
         }
-        # Emitted only when set, so existing config files stay stable.
-        if self.session_core != "objects":
-            payload["session_core"] = self.session_core
         return payload
 
     def to_json(self, *, indent: int | None = 2) -> str:
@@ -484,7 +470,6 @@ class RuntimeConfig:
             control=ControlConfig.from_dict(payload.get("control", {})),
             placement=PlacementConfig.from_dict(payload.get("placement", {})),
             timeline=TimelineConfig.from_dict(payload.get("timeline", {})),
-            session_core=payload.get("session_core", "objects"),
         )
 
     @classmethod

@@ -1,26 +1,29 @@
-"""Traffic programs: a scenario's stochastic load as API calls.
+"""Traffic programs: a scenario's stochastic load driving the service.
 
-The legacy :meth:`~repro.runtime.runtime.ServerRuntime.run` loop bakes
-the traffic into the engine — Poisson arrivals, epoch and metrics
-timers, and the scheduled timeline all live in one method.
+The engine's :meth:`~repro.runtime.runtime.ServerRuntime.run` loop
+bakes the traffic into the engine — Poisson arrivals, epoch and
+metrics timers, and the scheduled timeline all live in one method.
 :class:`TrafficProgram` lifts exactly that schedule out and drives it
-through the :class:`~repro.service.facade.MediaService` API instead:
-arrivals become :meth:`~repro.service.facade.MediaService.admit`,
+through the :class:`~repro.service.facade.MediaService` instead:
 epochs become :meth:`~repro.service.facade.MediaService.on_epoch`,
 surges/drifts/focuses become
 :meth:`~repro.service.facade.MediaService.reconfigure`, and failures
 become :meth:`~repro.service.facade.MediaService.inject_failure`.
+Arrivals are not ``admit`` calls: the program makes the service
+:meth:`~repro.service.facade.MediaService.self_drive`, so the engine
+draws its own Poisson chain and replays whole windows of arrivals and
+departures at calendar boundaries, and the service publishes each
+drained arrival's tickets and bus events as ``admit`` would have.  No
+session puts an event on the calendar.
 
 Parity is load-bearing here: the program schedules the same callbacks
-in the same order with the same labels and draws the seeded RNG in the
-same sequence (interarrival, then title, then holding-if-admitted) as
-the legacy loop, so with the default synchronous replans the run's
-JSON output is byte-identical — :mod:`repro.service.parity` holds it
-there.  Arrivals always come through the calendar here, one
-``admit`` each, on either session core; the core decides only whether
-each admitted session's departure is a calendar event ("objects") or
-is harvested at the next facade call or control timer ("table").  A cluster dispatcher later swaps this program for real demand
-without touching the engine.
+in the same order with the same labels as the run loop, and every path
+draws the purpose-split RNG streams identically, so with the default
+synchronous replans the run's JSON output is byte-identical —
+:mod:`repro.service.parity` holds it there — and the bus stream equals
+a per-arrival ``admit`` driver's (``tests/test_windowed_traffic.py``).
+A cluster dispatcher later swaps this program for real demand without
+touching the engine.
 """
 
 from __future__ import annotations
@@ -38,15 +41,7 @@ class TrafficProgram:
     def __init__(self, service: MediaService) -> None:
         self.service = service
 
-    # -- Schedule pieces (one per legacy run-loop line) ----------------------
-
-    def _schedule_arrival(self, sim) -> None:
-        delay = self.service.engine.sampler.next_interarrival()
-        sim.after(delay, self._on_arrival, "arrival")
-
-    def _on_arrival(self, sim) -> None:
-        self.service.admit()
-        self._schedule_arrival(sim)
+    # -- Schedule pieces (one per run-loop line) -----------------------------
 
     def _make_failure(self, event: FailureEvent):
         def fail(sim) -> None:
@@ -76,12 +71,12 @@ class TrafficProgram:
     # -- Program -------------------------------------------------------------
 
     def install(self) -> None:
-        """Put the whole scenario on the calendar (legacy order exactly)."""
+        """Put the whole scenario on the calendar (run-loop order exactly)."""
         service = self.service
         sim = service.sim
         config = service.config
         timeline = config.timeline
-        self._schedule_arrival(sim)
+        service.self_drive()
         sim.every(config.control.epoch, service.on_epoch, "epoch")
         sim.every(config.control.metrics_interval,
                   service.engine.seal_metrics, "metrics")

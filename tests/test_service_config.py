@@ -139,6 +139,15 @@ class TestSerialization:
         with pytest.raises(ConfigurationError, match="turbo"):
             RuntimeConfig.from_dict(payload)
 
+    @pytest.mark.parametrize("core", ["objects", "table"])
+    def test_rejects_the_retired_session_core_key(self, core):
+        # The driver, not the config, decides how sessions reach the
+        # calendar; an old file that still names a core must say so.
+        payload = _minimal().to_dict()
+        payload["session_core"] = core
+        with pytest.raises(ConfigurationError, match="session_core"):
+            RuntimeConfig.from_json(json.dumps(payload))
+
     def test_rejects_missing_required_keys(self):
         payload = _minimal().to_dict()
         del payload["workload"]

@@ -98,18 +98,16 @@ _MODES = {"none": steady_disk, "cache": adaptive_cache,
           "prefix": vod_flash_crowd}
 
 
-@pytest.mark.parametrize("core", ["objects", "table"])
 @pytest.mark.parametrize("mode", sorted(_MODES))
 class TestInputValidation:
     """Bad titles and session ids fail with ConfigurationError."""
 
-    def _service(self, mode, core):
-        config = _MODES[mode](seed=2, horizon=2_000.0)
-        return _service(config.replace(session_core=core))
+    def _service(self, mode):
+        return _service(_MODES[mode](seed=2, horizon=2_000.0))
 
     @pytest.mark.parametrize("title", [-1, "n_titles", "3", 2.5, True, False])
-    def test_admit_rejects_bad_titles(self, mode, core, title):
-        service, log = self._service(mode, core)
+    def test_admit_rejects_bad_titles(self, mode, title):
+        service, log = self._service(mode)
         if title == "n_titles":
             title = service.config.workload.n_titles
         with pytest.raises(ConfigurationError):
@@ -121,8 +119,8 @@ class TestInputValidation:
         assert service.engine.active_sessions == 0
         assert log.events == []
 
-    def test_bad_titles_fail_before_parking(self, mode, core):
-        service, _ = self._service(mode, core)
+    def test_bad_titles_fail_before_parking(self, mode):
+        service, _ = self._service(mode)
         service._replan_inflight = True  # an open replan window
         with pytest.raises(ConfigurationError):
             service.admit(-1)
@@ -130,8 +128,8 @@ class TestInputValidation:
             service.admit_block(titles=[None, 2.5])
         assert service.pending_tickets == 0
 
-    def test_admit_accepts_integer_titles(self, mode, core):
-        service, _ = self._service(mode, core)
+    def test_admit_accepts_integer_titles(self, mode):
+        service, _ = self._service(mode)
         last = service.config.workload.n_titles - 1
         tickets = [service.admit(0), service.admit(np.int64(last)),
                    *service.admit_block(titles=[np.int32(1), None])]
@@ -140,15 +138,15 @@ class TestInputValidation:
         assert all(t.admitted for t in tickets)
 
     @pytest.mark.parametrize("session_id", ["0", None, 0.0, True])
-    def test_teardown_rejects_non_integer_ids(self, mode, core, session_id):
-        service, _ = self._service(mode, core)
+    def test_teardown_rejects_non_integer_ids(self, mode, session_id):
+        service, _ = self._service(mode)
         assert service.admit(0).session_id == 0
         with pytest.raises(ConfigurationError):
             service.teardown(session_id)
         assert service.engine.active_sessions == 1
 
-    def test_teardown_of_unknown_ids_returns_false(self, mode, core):
-        service, log = self._service(mode, core)
+    def test_teardown_of_unknown_ids_returns_false(self, mode):
+        service, log = self._service(mode)
         ticket = service.admit(0)
         assert service.teardown(-1) is False
         assert service.teardown(ticket.session_id + 1) is False
