@@ -83,7 +83,7 @@ class TestRunWorkloads:
     def test_runtime_scenario_tiny(self):
         (record,) = run_workloads(["runtime_scenario"], preset="tiny")
         # The gated rate counts session-lifecycle events, not the
-        # table core's handful of control-timer calendar entries.
+        # run loop's handful of control-timer calendar entries.
         assert record.metrics["session_events"] > 0
         assert (record.metrics["events_per_sec"]
                 == pytest.approx(record.metrics["session_events"]
