@@ -185,6 +185,10 @@ class TestSmallPresetCounts:
     here on purpose, never loosen it to a ratio.
     """
 
+    def test_event_loop_events_executed(self):
+        # 64 staggered chains, 3126 firings each up to the horizon.
+        assert _small("event_loop")["events_executed"] == 200064
+
     def test_admission_storm_probes(self):
         metrics = _small("admission_storm")
         assert metrics["planner_probes_cold_run"] == 480
