@@ -1,40 +1,23 @@
-"""Calendar-queue discrete-event simulation core.
+"""Binary-heap discrete-event simulation core.
 
-The engine stores events in a bucketed timing wheel (a *calendar
-queue*): absolute time is divided into fixed-width buckets, each bucket
-holds an unsorted append-only list of entries, and a small min-heap of
-bucket indices orders the buckets themselves.  The run loop drains one
-bucket at a time — sort the bucket once, then walk it — so the common
-mostly-monotone schedules the runtime generates cost O(1) per event
-instead of the O(log n) heap sift of the previous design.
+The engine keeps pending events in one binary heap of mutable lists
+``[time, sequence, callback, label, period]`` ordered by
+``(time, sequence)``.  The sequence is unique per entry, so ties on
+time break in scheduling (FIFO) order and a comparison never reaches
+the callback.  Recurring events created with :meth:`Simulator.every`
+carry their interval in the ``period`` slot and are re-armed in place
+after each firing: the same list object, with the same sequence
+number, goes back on the heap.  A recurring event therefore keeps its
+*creation-order* identity for FIFO tie-breaking across firings.
 
-Entries are mutable lists ``[time, sequence, callback, label, period]``
-ordered by ``(time, sequence)`` (the sequence is unique per entry, so a
-comparison never reaches the callback).  Recurring events created with
-:meth:`Simulator.every` carry their interval in the ``period`` slot and
-are re-armed in place by the drain loop: the same list object, and the
-same sequence number, hop from bucket to bucket with no allocation.  A
-recurring event therefore keeps its *creation-order* identity for
-FIFO tie-breaking across firings.
-
-Two escape hatches keep pathological schedules correct:
-
-* events at non-finite times cannot be bucketed — ``+inf`` entries park
-  in a side heap drained after every finite bucket, and ``NaN`` is
-  rejected at push time (it has no place in any total order);
-* a schedule much sparser than the bucket width (average bucket
-  occupancy below ``2`` over a 256-refill window) degrades the wheel
-  into a plain binary heap, which is the better structure there.  The
-  switch is sticky and invisible: ordering is identical in both modes.
-  ``EventQueue(bucket_width=None)`` selects the heap mode directly —
-  the equivalence tests use it as the oracle for the wheel.
+``+inf`` and ``-inf`` are ordinary heap keys (an ``+inf`` recurrence
+stays at ``+inf``); ``NaN`` is rejected at push time, since it has no
+place in any total order.
 
 All queue logic lives in :class:`EventQueue`; :meth:`Simulator.run`
-delegates to the queue's drain primitive, and :meth:`EventQueue.pop`
-rides the same refill machinery, so there is exactly one implementation
-of the event order.  ``peek_time`` and ``len()`` are exact whenever the
-queue is quiescent (between :meth:`Simulator.run` calls); inside a
-running drain they may lag by the events of the current bucket.
+delegates to the queue's drain loop, and :meth:`EventQueue.pop`
+re-arms exactly as that loop does, so there is one implementation of
+the event order.
 """
 
 from __future__ import annotations
@@ -42,7 +25,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from bisect import bisect_right, insort
 from collections.abc import Callable
 from typing import NamedTuple
 
@@ -51,26 +33,11 @@ from repro.errors import ConfigurationError, SimulationError
 #: Signature of a scheduled callback: receives the simulator.
 EventCallback = Callable[["Simulator"], None]
 
-#: Default calendar bucket width, seconds.  Tuned to the runtime's
-#: IO-cycle timescale; schedules sparser than this fall back to the
-#: heap automatically.
-DEFAULT_BUCKET_WIDTH = 0.001
-
-#: Sparseness probe: every ``_SPARSE_WINDOW`` bucket refills, a drain
-#: checks the mean bucket occupancy and falls back to the heap below
-#: ``_SPARSE_OCCUPANCY`` events per bucket (the wheel's bucket-hop
-#: overhead only amortises when buckets batch several events).
-_SPARSE_WINDOW = 256
-_SPARSE_OCCUPANCY = 2.0
-
 _INF = float("inf")
-
-#: Sentinel returned by the wheel drain after degrading to the heap.
-_SWITCHED = object()
 
 
 class _Event(NamedTuple):
-    """Named view over one calendar entry (storage stays a plain list)."""
+    """Named view over one heap entry (storage stays a plain list)."""
 
     time: float
     sequence: int
@@ -79,33 +46,13 @@ class _Event(NamedTuple):
 
 
 class EventQueue:
-    """Time-ordered event calendar (stable for simultaneous events)."""
+    """Time-ordered event heap (stable for simultaneous events)."""
 
-    __slots__ = ("_scale", "_heap", "_cal", "_idx", "_batch", "_bi",
-                 "_cur", "_far", "_counter", "_size")
+    __slots__ = ("_heap", "_counter")
 
-    def __init__(self, bucket_width: float | None = DEFAULT_BUCKET_WIDTH,
-                 ) -> None:
-        if bucket_width is not None and not bucket_width > 0:
-            raise ConfigurationError(
-                f"bucket_width must be > 0 or None, got {bucket_width!r}")
-        #: ``1 / bucket_width`` in wheel mode, None in heap mode.
-        self._scale = None if bucket_width is None else 1.0 / bucket_width
-        self._heap: list[list] = []  # heap mode storage
-        self._cal: dict[int, list[list]] = {}  # bucket index -> entries
-        self._idx: list[int] = []  # min-heap of non-empty bucket indices
-        self._batch: list[list] = []  # bucket being drained, sorted
-        self._bi = 0  # drain cursor into _batch
-        self._cur = -1  # bucket index of _batch; lower times insort live
-        self._far: list[list] = []  # +inf entries (cannot be bucketed)
+    def __init__(self) -> None:
+        self._heap: list[list] = []
         self._counter = itertools.count()
-        self._size = 0
-
-    @property
-    def bucket_width(self) -> float | None:
-        """Current bucket width, or None once in heap mode."""
-        scale = self._scale
-        return None if scale is None else 1.0 / scale
 
     def push(self, time: float, callback: EventCallback,
              label: str = "") -> None:
@@ -117,72 +64,8 @@ class EventQueue:
         if math.isnan(time):
             raise SimulationError(
                 f"event time must not be NaN ({label or 'unlabelled'})")
-        self._size += 1
-        self._insert([time, next(self._counter), callback, label, period])
-
-    def _insert(self, entry: list) -> None:
-        """Route one entry to its bucket / the live batch / a heap."""
-        scale = self._scale
-        if scale is None:
-            heapq.heappush(self._heap, entry)
-            return
-        time = entry[0]
-        if math.isfinite(time):
-            i = int(time * scale)
-            if i > self._cur:
-                cal = self._cal
-                bucket = cal.get(i)
-                if bucket is None:
-                    cal[i] = [entry]
-                    heapq.heappush(self._idx, i)
-                else:
-                    bucket.append(entry)
-            else:
-                # At or before the bucket being drained: insert into the
-                # live batch, past the cursor (never earlier than now).
-                insort(self._batch, entry, self._bi)
-        elif time > 0:
-            heapq.heappush(self._far, entry)
-        else:
-            # -inf precedes every bucket: drain it from the live batch.
-            insort(self._batch, entry, self._bi)
-
-    def _settle(self) -> bool:
-        """Refill the live batch if exhausted; True if it has an entry.
-
-        The one refill primitive shared by :meth:`pop`,
-        :meth:`peek_time`, and the drain loop: pop the earliest
-        non-empty bucket, sort it once, make it the live batch.
-        """
-        if self._bi >= len(self._batch):
-            if self._bi:
-                self._batch = []
-                self._bi = 0
-            if not self._idx:
-                return False
-            i = heapq.heappop(self._idx)
-            bucket = self._cal.pop(i)
-            bucket.sort()
-            self._batch = bucket
-            self._cur = i
-        return True
-
-    def _pop_entry(self) -> list | None:
-        """Remove and return the earliest raw entry, or None when empty."""
-        if self._scale is None:
-            if not self._heap:
-                return None
-            self._size -= 1
-            return heapq.heappop(self._heap)
-        if self._settle():
-            entry = self._batch[self._bi]
-            self._bi += 1
-            self._size -= 1
-            return entry
-        if self._far:
-            self._size -= 1
-            return heapq.heappop(self._far)
-        return None
+        heapq.heappush(self._heap,
+                       [time, next(self._counter), callback, label, period])
 
     def pop(self) -> _Event:
         """Remove and return the earliest event.
@@ -190,206 +73,35 @@ class EventQueue:
         A recurring entry re-arms itself ``period`` seconds later (same
         sequence number), exactly as the drain loop would.
         """
-        entry = self._pop_entry()
-        if entry is None:
+        if not self._heap:
             # IndexError matches the container protocol (and the old
             # heapq-backed behaviour), not a configuration problem.
             raise IndexError(  # repro-lint: disable=exception-hygiene
                 "pop from an empty event queue")
+        entry = heapq.heappop(self._heap)
         event = _Event(entry[0], entry[1], entry[2], entry[3])
         period = entry[4]
         if period is not None:
             entry[0] = entry[0] + period
-            self._size += 1
-            self._insert(entry)
+            heapq.heappush(self._heap, entry)
         return event
 
     def peek_time(self) -> float | None:
         """Time of the earliest event, or None when empty."""
-        if self._scale is None:
-            heap = self._heap
-            return heap[0][0] if heap else None
-        if self._settle():
-            return self._batch[self._bi][0]
-        far = self._far
-        return far[0][0] if far else None
+        heap = self._heap
+        return heap[0][0] if heap else None
 
     def __len__(self) -> int:
-        return self._size
-
-    def __bool__(self) -> bool:
-        return self._size > 0
-
-    def _to_heap(self) -> None:
-        """Degrade the wheel into the plain heap (sparse schedules)."""
-        entries = self._batch[self._bi:]
-        for bucket in self._cal.values():
-            entries.extend(bucket)
-        entries.extend(self._far)
-        heapq.heapify(entries)
-        self._heap = entries
-        self._scale = None
-        self._cal = {}
-        self._idx = []
-        self._batch = []
-        self._bi = 0
-        self._far = []
+        return len(self._heap)
 
     def _drain(self, sim: "Simulator", until: float | None) -> float:
         """Execute events against ``sim`` — the one run-loop primitive."""
-        if self._scale is not None:
-            result = self._wheel_drain(sim, until)
-            if result is not _SWITCHED:
-                return result
-        return self._heap_drain(sim, until)
-
-    def _wheel_drain(self, sim: "Simulator", until: float | None):
-        # The per-event cost here dominates every simulation-backed
-        # workload.  The loop drains one sorted bucket at a time in
-        # chunks bounded by the horizon (one bisect per chunk, not a
-        # compare per event) and the event budget; ``sim._now`` and the
-        # drain cursor are written before each callback so re-entrant
-        # reads and pushes stay exact, while ``sim._executed`` and the
-        # size are synced at chunk boundaries and in the ``finally``.
-        cal = self._cal
-        idx = self._idx
-        far = self._far
-        scale = self._scale
-        batch = self._batch
-        bi = self._bi
-        cur = self._cur
-        limit = sim._max_events
-        executed = sim._executed
-        popped = 0
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        last_i: int | None = None  # re-arm target bucket cache
-        last_b: list | None = None
-        w_refills = 0
-        w_events = 0
-        try:
-            while True:
-                blen = len(batch)
-                if bi >= blen:
-                    if bi:
-                        self._batch = batch = []
-                        self._bi = bi = 0
-                    if idx:
-                        i = heappop(idx)
-                        bucket = cal.pop(i)
-                        bucket.sort()
-                        self._batch = batch = bucket
-                        self._cur = cur = i
-                        if last_i == i:
-                            last_i = last_b = None
-                        w_refills += 1
-                        w_events += len(bucket)
-                        if w_refills == _SPARSE_WINDOW:
-                            if w_events < _SPARSE_OCCUPANCY * _SPARSE_WINDOW:
-                                self._to_heap()
-                                batch = self._batch
-                                bi = 0
-                                return _SWITCHED
-                            w_refills = 0
-                            w_events = 0
-                        continue
-                    if not far:
-                        break
-                    # Rare path: only +inf events remain.
-                    t0 = far[0][0]
-                    if until is not None and t0 > until:
-                        sim._now = until
-                        return until
-                    entry = heappop(far)
-                    sim._now = entry[0]
-                    executed += 1
-                    if executed > limit:
-                        popped += 1
-                        raise SimulationError(
-                            f"event budget of {limit} exceeded at "
-                            f"t={sim._now:.6g}s; runaway schedule?")
-                    entry[2](sim)
-                    if entry[4] is None:
-                        popped += 1
-                    else:
-                        heappush(far, entry)  # inf + period == inf
-                    continue
-                t0 = batch[bi][0]
-                if until is not None and t0 > until:
-                    sim._now = until
-                    return until
-                rem = limit - executed
-                if rem <= 0:
-                    # Replicate the per-event loop: the over-budget
-                    # event is consumed (clock advanced, count bumped)
-                    # but its callback never runs.
-                    entry = batch[bi]
-                    bi += 1
-                    sim._now = entry[0]
-                    executed += 1
-                    popped += 1
-                    raise SimulationError(
-                        f"event budget of {limit} exceeded at "
-                        f"t={sim._now:.6g}s; runaway schedule?")
-                take = blen - bi
-                if take > rem:
-                    take = rem
-                if until is not None:
-                    hi = bisect_right(batch, [until, _INF], bi, blen)
-                    if hi - bi < take:
-                        take = hi - bi
-                # Events pushed by callbacks (or re-armed) into the
-                # chunk's span insort past the cursor and extend the
-                # walk naturally: batch[bi] is always the earliest
-                # pending event, and displaced tail events are picked
-                # up when the chunk bounds are recomputed.
-                for _ in range(take):
-                    entry = batch[bi]
-                    bi += 1
-                    now = entry[0]
-                    sim._now = now
-                    # The cursor must be exact before the callback:
-                    # re-arms mutate consumed entries in place, so a
-                    # push's insort may only ever search batch[bi:].
-                    self._bi = bi
-                    executed += 1
-                    entry[2](sim)
-                    period = entry[4]
-                    if period is None:
-                        popped += 1
-                    else:
-                        t = now + period
-                        entry[0] = t
-                        i = int(t * scale)
-                        if i == last_i:
-                            last_b.append(entry)
-                        elif i > cur:
-                            bucket = cal.get(i)
-                            if bucket is None:
-                                cal[i] = bucket = [entry]
-                                heappush(idx, i)
-                            else:
-                                bucket.append(entry)
-                            last_i = i
-                            last_b = bucket
-                        else:
-                            insort(batch, entry, bi)
-            if until is not None and until > sim._now:
-                sim._now = until
-            return sim._now
-        finally:
-            self._bi = bi
-            self._size -= popped
-            sim._executed = executed
-
-    def _heap_drain(self, sim: "Simulator", until: float | None) -> float:
-        # Heap mode: the previous engine's loop, plus in-place re-arm
-        # of recurring entries.  Also the oracle for the wheel: both
-        # modes execute the identical (time, sequence) total order.
+        # ``sim._now`` is written before each callback so re-entrant
+        # reads and pushes stay exact; ``sim._executed`` is synced in
+        # the ``finally``.
         heap = self._heap
         limit = sim._max_events
         executed = sim._executed
-        popped = 0
         heappop = heapq.heappop
         heappush = heapq.heappush
         try:
@@ -402,36 +114,33 @@ class EventQueue:
                 sim._now = now
                 executed += 1
                 if executed > limit:
-                    popped += 1
+                    # The over-budget event is consumed (clock advanced,
+                    # count bumped) but its callback never runs.
                     raise SimulationError(
                         f"event budget of {limit} exceeded at "
-                        f"t={sim._now:.6g}s; runaway schedule?")
+                        f"t={now:.6g}s; runaway schedule?")
                 entry[2](sim)
                 period = entry[4]
-                if period is None:
-                    popped += 1
-                else:
+                if period is not None:
                     entry[0] = now + period
                     heappush(heap, entry)
             if until is not None and until > sim._now:
                 sim._now = until
             return sim._now
         finally:
-            self._size -= popped
             sim._executed = executed
 
 
 class Simulator:
-    """Runs an event calendar until exhaustion or a time horizon."""
+    """Runs an event heap until exhaustion or a time horizon."""
 
     __slots__ = ("_queue", "_now", "_max_events", "_executed")
 
-    def __init__(self, *, max_events: int = 10_000_000,
-                 bucket_width: float | None = DEFAULT_BUCKET_WIDTH) -> None:
+    def __init__(self, *, max_events: int = 10_000_000) -> None:
         if max_events <= 0:
             raise ConfigurationError(
                 f"max_events must be > 0, got {max_events!r}")
-        self._queue = EventQueue(bucket_width)
+        self._queue = EventQueue()
         self._now = 0.0
         self._max_events = max_events
         self._executed = 0
@@ -469,7 +178,7 @@ class Simulator:
 
         The first firing is at ``start`` (default ``now + interval``);
         the entry re-arms itself in place after each firing — same
-        calendar entry, same tie-breaking sequence number — so a horizon
+        heap entry, same tie-breaking sequence number — so a horizon
         passed to :meth:`run` bounds the recurrence naturally.
         """
         if not (0 < interval < _INF):

@@ -145,8 +145,8 @@ class TestSimulator:
         assert ticks == [1.0, 3.0, 5.0]
 
 
-class TestCalendarQueueEdges:
-    """Edge cases specific to the bucketed calendar-queue core."""
+class TestEventQueueEdges:
+    """Edge cases of the binary-heap event core."""
 
     def test_empty_queue_peek_time_after_drain(self):
         queue = EventQueue()
@@ -160,19 +160,18 @@ class TestCalendarQueueEdges:
         with pytest.raises(IndexError):
             EventQueue().pop()
 
-    def test_fifo_at_equal_timestamps_within_one_bucket(self):
-        # Ties land in the same bucket; the bucket sort must break them
-        # on insertion sequence alone.
-        queue = EventQueue(bucket_width=10.0)
+    def test_fifo_at_equal_timestamps(self):
+        # Ties must break on insertion sequence alone.
+        queue = EventQueue()
         for i in range(50):
             queue.push(5.0, lambda s: None, label=f"tie-{i}")
         assert [queue.pop().label for _ in range(50)] == [
             f"tie-{i}" for i in range(50)]
 
-    def test_far_future_events_cross_bucket_wraps(self):
-        # Events thousands of bucket widths apart must still drain in
-        # time order, including ties far beyond the first bucket.
-        queue = EventQueue(bucket_width=0.001)
+    def test_far_future_events_drain_in_time_order(self):
+        # Events many orders of magnitude apart must still drain in
+        # time order, including ties far in the future.
+        queue = EventQueue()
         queue.push(5000.0, lambda s: None, label="far-tie-a")
         queue.push(0.0005, lambda s: None, label="near")
         queue.push(5000.0, lambda s: None, label="far-tie-b")
@@ -180,10 +179,10 @@ class TestCalendarQueueEdges:
         order = [queue.pop().label for _ in range(4)]
         assert order == ["near", "mid", "far-tie-a", "far-tie-b"]
 
-    def test_push_behind_the_drain_cursor(self):
+    def test_push_behind_the_last_pop(self):
         # A standalone queue may push a time earlier than events it has
         # already popped; the entry must still come out next.
-        queue = EventQueue(bucket_width=1.0)
+        queue = EventQueue()
         queue.push(10.0, lambda s: None, label="late")
         queue.push(0.5, lambda s: None, label="first")
         assert queue.pop().label == "first"
@@ -191,11 +190,14 @@ class TestCalendarQueueEdges:
         assert queue.pop().label == "behind"
         assert queue.pop().label == "late"
 
-    def test_infinite_times_park_in_the_far_heap(self):
+    def test_infinite_times_order_at_the_ends(self):
         queue = EventQueue()
         queue.push(float("inf"), lambda s: None, label="end-a")
         queue.push(1.0, lambda s: None, label="soon")
+        queue.push(float("-inf"), lambda s: None, label="start")
         queue.push(float("inf"), lambda s: None, label="end-b")
+        assert queue.peek_time() == float("-inf")
+        assert queue.pop().label == "start"
         assert queue.peek_time() == 1.0
         assert queue.pop().label == "soon"
         assert queue.peek_time() == float("inf")
@@ -204,19 +206,11 @@ class TestCalendarQueueEdges:
     def test_nan_time_rejected(self):
         with pytest.raises(SimulationError):
             EventQueue().push(float("nan"), lambda s: None)
-        with pytest.raises(SimulationError):
-            EventQueue(bucket_width=None).push(float("nan"), lambda s: None)
 
-    def test_bucket_width_validated(self):
-        with pytest.raises(ConfigurationError):
-            EventQueue(bucket_width=0.0)
-        with pytest.raises(ConfigurationError):
-            EventQueue(bucket_width=-1.0)
-
-    def test_every_rearms_across_wheel_rotation(self):
-        # interval >> bucket width: each re-arm hops hundreds of
-        # buckets; the recurrence must stay on its exact grid.
-        sim = Simulator(bucket_width=0.001)
+    def test_every_rearms_on_an_exact_grid(self):
+        # Each re-arm adds the interval to the entry's own time; the
+        # recurrence must stay on its exact grid.
+        sim = Simulator()
         ticks = []
         sim.every(0.25, lambda s: ticks.append(s.now))
         sim.run(until=2.0)
@@ -228,22 +222,6 @@ class TestCalendarQueueEdges:
             with pytest.raises(SimulationError):
                 sim.every(bad, lambda s: None)
 
-    def test_sparse_schedule_falls_back_to_heap(self):
-        # One event per second against 1 ms buckets: the wheel detects
-        # ~1 event/bucket and degrades to the heap, with no change in
-        # the observable schedule.
-        sim = Simulator(bucket_width=0.001)
-        ticks = []
-        sim.every(1.0, lambda s: ticks.append(s.now))
-        assert sim._queue.bucket_width == 0.001
-        sim.run(until=600.0)
-        assert sim._queue.bucket_width is None  # degraded, sticky
-        assert len(ticks) == 600
-        assert ticks[:3] == [1.0, 2.0, 3.0]
-        # The recurrence keeps firing across the mode switch.
-        sim.run(until=602.5)
-        assert len(ticks) == 602
-
     def test_pop_rearms_recurring_entries(self):
         sim = Simulator()
         sim.every(2.0, lambda s: None, label="tick")
@@ -254,9 +232,61 @@ class TestCalendarQueueEdges:
         assert (second.time, second.label) == (4.0, "tick")
         assert second.sequence == first.sequence  # same entry, re-armed
 
+    def test_event_budget_consumes_the_over_budget_event(self):
+        # The event past the budget advances the clock and the count
+        # but its callback never runs.
+        sim = Simulator(max_events=2)
+        seen = []
+        for t in (1.0, 2.0, 3.0):
+            sim.at(t, lambda s: seen.append(s.now))
+        with pytest.raises(SimulationError, match="budget of 2"):
+            sim.run()
+        assert seen == [1.0, 2.0]
+        assert (sim.now, sim.events_executed) == (3.0, 3)
+        assert len(sim._queue) == 0
 
-class TestWheelHeapEquivalence:
-    """The wheel and the plain heap execute the identical event order."""
+
+class _BruteForceSim:
+    """Reference simulator: a plain list popped at ``min((time, seq))``.
+
+    Implements the subset of the :class:`Simulator` API the property
+    tests drive, with none of the heap's machinery.
+    """
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_executed = 0
+        self._pending = []  # [time, sequence, callback, period]
+        self._seq = 0
+
+    def _add(self, time, callback, period):
+        self._pending.append([time, self._seq, callback, period])
+        self._seq += 1
+
+    def after(self, delay, callback, label=""):
+        self._add(self.now + delay, callback, None)
+
+    def every(self, interval, callback, label=""):
+        self._add(self.now + interval, callback, interval)
+
+    def run(self, until):
+        while self._pending:
+            entry = min(self._pending, key=lambda e: (e[0], e[1]))
+            if entry[0] > until:
+                break
+            self._pending.remove(entry)
+            self.now = entry[0]
+            self.events_executed += 1
+            entry[2](self)
+            if entry[3] is not None:
+                entry[0] += entry[3]
+                self._pending.append(entry)
+        self.now = max(self.now, until)
+        return self.now
+
+
+class TestHeapMatchesBruteForce:
+    """The heap executes the brute-force ``min((time, sequence))`` order."""
 
     schedules = st.lists(
         st.tuples(st.integers(min_value=0, max_value=40),  # time grid
@@ -264,29 +294,29 @@ class TestWheelHeapEquivalence:
         min_size=1, max_size=60)
 
     @settings(max_examples=200, deadline=None)
-    @given(schedule=schedules, width=st.sampled_from([0.25, 1.0, 7.0]))
-    def test_push_pop_interleavings_bit_identical(self, schedule, width):
-        wheel = EventQueue(bucket_width=width)
-        heap = EventQueue(bucket_width=None)
-        traces = {id(wheel): [], id(heap): []}
+    @given(schedule=schedules)
+    def test_push_pop_interleavings_match_brute_force(self, schedule):
+        queue = EventQueue()
+        reference = []  # (time, sequence, label), popped at the minimum
+        got, want = [], []
         for n, (tick, pops) in enumerate(schedule):
             time = tick * 0.125  # exact binary fractions
-            for queue in (wheel, heap):
-                queue.push(time, lambda s: None, label=f"e{n}")
+            queue.push(time, lambda s: None, label=f"e{n}")
+            reference.append((time, n, f"e{n}"))
             for _ in range(pops):
-                if not wheel:
+                if not queue:
                     break
-                for queue in (wheel, heap):
-                    event = queue.pop()
-                    traces[id(queue)].append(
-                        (event.time, event.sequence, event.label))
-        while wheel:
-            for queue in (wheel, heap):
                 event = queue.pop()
-                traces[id(queue)].append(
-                    (event.time, event.sequence, event.label))
-        assert traces[id(wheel)] == traces[id(heap)]
-        assert len(heap) == 0
+                got.append((event.time, event.sequence, event.label))
+                expected = min(reference)
+                reference.remove(expected)
+                want.append(expected)
+        while queue:
+            event = queue.pop()
+            got.append((event.time, event.sequence, event.label))
+        want.extend(sorted(reference))
+        assert got == want
+        assert len(queue) == 0
 
     sim_programs = st.lists(
         st.tuples(st.integers(min_value=0, max_value=30),   # delay grid
@@ -298,11 +328,10 @@ class TestWheelHeapEquivalence:
            intervals=st.lists(st.integers(min_value=1, max_value=9),
                               min_size=0, max_size=3),
            horizon=st.integers(min_value=1, max_value=50))
-    def test_simulator_traces_bit_identical(self, program, intervals,
-                                            horizon):
-        def build(bucket_width):
+    def test_simulator_traces_match_brute_force(self, program, intervals,
+                                                horizon):
+        def build(sim):
             trace = []
-            sim = Simulator(max_events=5_000, bucket_width=bucket_width)
 
             def spawn(delay, respawns, tag):
                 def cb(s):
@@ -322,7 +351,8 @@ class TestWheelHeapEquivalence:
             sim.run(until=horizon * 0.75)
             return trace, sim.now, sim.events_executed
 
-        assert build(1.0) == build(None)
+        assert (build(Simulator(max_events=5_000))
+                == build(_BruteForceSim()))
 
 
 class TestStreamBuffer:
