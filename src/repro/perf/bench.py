@@ -5,9 +5,8 @@ metrics as a :class:`BenchRecord`, serialised to a schema-versioned
 ``BENCH_<name>.json``:
 
 * ``event_loop`` — raw discrete-event engine throughput (a fan of
-  periodic ``every()`` chains, no model work): the cost floor under
-  every simulation, shaped like the runtime's mostly-monotone streams
-  so the calendar-queue core is what gets measured;
+  periodic ``every()`` chains, no model work): the per-event cost of
+  the binary-heap core's push, pop and in-place re-arm;
 * ``figure6_sweep`` — the Figure 6 planner sweep (both panels), the
   canonical bulk-evaluation workload of the paper's methodology;
 * ``batch_sweep`` — the same demand curves plus an inverse budget grid
@@ -186,17 +185,15 @@ class BenchRecord:
 
 def _noop(sim) -> None:
     """The event-loop workload's do-nothing callback (module level so
-    the timed region measures the calendar, not closure dispatch)."""
+    the timed region measures the event heap, not closure dispatch)."""
 
 
 def bench_event_loop(preset: str) -> dict[str, float]:
-    """Raw event-calendar throughput: a fan of periodic chains.
+    """Raw event-heap throughput: a fan of periodic chains.
 
-    64 ``every()`` chains with staggered phases fill the calendar
-    buckets the way the runtime's session heartbeats do — the
-    mostly-monotone stream the bucketed wheel is tuned for.  Each
-    firing re-arms its own calendar entry in place, so the timed region
-    is pure schedule/pop/execute with no model work.
+    64 ``every()`` chains with staggered phases keep 64 entries on the
+    heap.  Each firing re-arms its own heap entry in place, so the
+    timed region is pure pop/execute/push with no model work.
     """
     from repro.simulation.engine import Simulator
 
