@@ -346,15 +346,15 @@ class ServerRuntime:
         self._events: list[SessionEvent] = []
         self._metrics = MetricsLog()
         self._migrations: list[MigrationRecord] = []
-        #: API-driven until :meth:`self_drive`: each admitted session
-        #: puts one departure event on the calendar, and the table keeps
-        #: no departure heap.
-        self._table = SessionTable(harvested=False)
+        self._table = SessionTable()
+        #: API-driven until :meth:`self_drive`.
         self._harvest = False
-        #: Earliest pending harvested departure (lower bound; staying
-        #: conservative only costs a harvest that finds nothing).  inf
-        #: while none is pending, and always on an API-driven engine.
+        #: Earliest pending departure (lower bound; staying conservative
+        #: only costs a harvest that finds nothing).  inf while none is
+        #: pending.
         self._min_dep = _INF
+        #: Generation of the live departure alarm (:meth:`_arm_departures`).
+        self._alarm = 0
         #: Absolute time of the next self-drawn arrival (inf while the
         #: engine is API-driven).
         self._next_arrival = _INF
@@ -535,7 +535,6 @@ class ServerRuntime:
             raise ConfigurationError(
                 "self_drive must come before the first session")
         self._harvest = True
-        self._table = SessionTable()
         self._on_drained = on_drained
         self._on_held = on_held
         # The first draw a per-arrival calendar chain would make.
@@ -619,26 +618,33 @@ class ServerRuntime:
                     served_by=served, batched=batched))
         return outcomes
 
-    def _track_departure(self, row: int, departure: float) -> None:
-        """Arrange for ``row`` to depart at ``departure``.
+    def _track_departure(self, departure: float) -> None:
+        """Lower the departure bound; an API-driven engine re-arms its alarm."""
+        if departure < self._min_dep:
+            self._min_dep = departure
+            if not self._harvest:
+                self._arm_departures()
 
-        The driver decides: an API-driven engine schedules one calendar
-        event per session (teardowns and sheds leave it to find the row
-        inactive and no-op), so no facade call pays for departures that
-        came due since the last one; a self-driven engine lowers the
-        harvest bound instead.
+    def _arm_departures(self) -> None:
+        """Put the earliest pending departure on the calendar as the alarm.
+
+        The alarm retires every departure due when it fires (off the
+        table's heap, like a self-driven drain) and re-arms at the next,
+        so departures retire inside ``sim.run`` at their own times and
+        no facade call pays for them.  A newer alarm supersedes it: a
+        stale generation fires and does nothing.
         """
-        if self._harvest:
-            if departure < self._min_dep:
-                self._min_dep = departure
-            return
-        table = self._table
+        self._alarm += 1
+        generation = self._alarm
 
-        def depart(sim: Simulator) -> None:
-            if table.is_active(row):
-                self._complete_departure(sim.now, row)
+        def alarm(sim: Simulator) -> None:
+            if generation != self._alarm:
+                return
+            self._drain_table(sim.now, inclusive=True)
+            if self._min_dep < _INF:
+                self._arm_departures()
 
-        self._sim.at(departure, depart, "departure")
+        self._sim.at(self._min_dep, alarm, "departure")
 
     def _complete_departure(self, now: float, row: int) -> SessionEvent:
         """Release a departing session's slot and log the exit."""
@@ -669,9 +675,9 @@ class ServerRuntime:
         or None if the id is not live.
         """
         now = sim.now
-        # Departures due by now fire first, exactly as their calendar
-        # events (scheduled at admit, hence with earlier sequence
-        # numbers) would have.
+        # Departures due by now retire first, as a per-event calendar
+        # would have run them (scheduled at admit, hence with earlier
+        # sequence numbers).
         if self._min_dep <= now or self._next_arrival <= now:
             self._drain_table(now, inclusive=True)
         if not self._table.is_active(session_id):
@@ -683,10 +689,10 @@ class ServerRuntime:
     def sync(self, sim: Simulator) -> None:
         """Advance lazy session bookkeeping to ``sim.now``.
 
-        A no-op on an API-driven engine (the calendar keeps it
-        current); a self-driven one replays every arrival and departure
-        due strictly before now, so read-style facade operations
-        observe the same state a per-event calendar would have shown.
+        Replays every arrival and departure due strictly before now, so
+        read-style facade operations observe the same state a per-event
+        calendar would have shown.  An API-driven engine's departure
+        alarm has already retired those, so there it finds nothing.
         """
         self._pre_control(sim)
 
@@ -726,8 +732,8 @@ class ServerRuntime:
         enters the same heap, so it departs in turn.  Held arrivals
         skip admission and go to the driver's held sink; the others
         reach its drained sink as one record each (see
-        :meth:`self_drive`).  Returns at once on an API-driven engine,
-        which draws no arrival and harvests nothing.
+        :meth:`self_drive`).  An API-driven engine draws no arrival, so
+        there the window holds departures only.
         """
         arrivals = self._window_arrivals(until, inclusive=inclusive)
         if self.hold_arrivals and len(arrivals):
@@ -851,7 +857,7 @@ class ServerRuntime:
         self._table.add(row, title=title, arrival=now, holding=holding,
                         served_by=served, stream_id=stream_id)
         dep = now + holding
-        self._track_departure(row, dep)
+        self._track_departure(dep)
         self._metrics.count("admits")
         self._events.append(SessionEvent(
             time=now, kind=SessionEventKind.ADMIT, session_id=row,

@@ -7,7 +7,7 @@ exposes — ``admit`` / ``teardown`` / ``stats`` / ``reconfigure`` /
 observable action as a typed event on the service's
 :class:`~repro.service.events.EventBus`.
 
-Two properties define the facade:
+Three properties define the facade:
 
 * **Replans run off the request path.**  With
   ``control.replan_latency > 0`` an epoch replan is a *window*, not an
@@ -21,15 +21,17 @@ Two properties define the facade:
   is byte-identical to the engine's run loop, which is what the parity
   harness proves.
 
-* **The driver decides how sessions reach the calendar.**  An
-  API-driven service — callers issue ``admit`` — keeps one calendar
-  event per departure, so no call pays for the departures that came
-  due since the previous one.  A traffic program instead calls
-  :meth:`MediaService.self_drive`: the engine draws its own arrivals
-  and replays whole windows of arrivals and departures at calendar
-  boundaries, and the service publishes each drained arrival's ticket
-  events exactly as ``admit`` would have, stamped with the arrival's
-  own time.
+* **Departures leave from one place.**  Every engine retires
+  departures off its session table's ``(departure, row)`` heap.  An
+  API-driven service — callers issue ``admit`` — keeps only the
+  earliest pending departure on the calendar, as one re-armed alarm,
+  so departures retire inside ``sim.run`` at their own times and no
+  call pays for the ones that came due since the previous call.  A
+  traffic program instead calls :meth:`MediaService.self_drive`: the
+  engine draws its own arrivals and replays whole windows of arrivals
+  and departures at calendar boundaries, and the service publishes
+  each drained arrival's ticket events exactly as ``admit`` would
+  have, stamped with the arrival's own time.
 
 * **Backpressure is a published state, not a verdict.**  The
   :class:`~repro.service.backpressure.BackpressureGovernor` classifies

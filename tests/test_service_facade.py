@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.runtime.sessions import SessionEventKind
 from repro.service.backpressure import ServiceState
 from repro.service.config import ControlConfig
 from repro.service.events import (
@@ -91,6 +92,52 @@ class TestAdmitTeardown:
         assert snap["pending_tickets"] == 0
         assert 0 < snap["load"] <= 1.5
         assert snap["events_published"] >= 1
+
+
+class TestApiDrivenDepartures:
+    """An API-driven engine keeps one departure alarm, not one per session."""
+
+    @staticmethod
+    def _admitted_block(count):
+        service, _ = _service(steady_disk(seed=1, horizon=2_000.0))
+        rows = [t.session_id for t in service.admit_block(count=count)
+                if t.admitted]
+        assert len(rows) == count
+        table = service.engine.session_table
+        return service, {row: float(table.departure[row]) for row in rows}
+
+    def test_torn_down_sessions_leave_no_event_per_session(self):
+        service, departures = self._admitted_block(50)
+        for row in departures:
+            assert service.teardown(row)
+        # Only a new earliest departure arms an alarm; the alarms it
+        # supersedes fire and do nothing.  No event is left per session.
+        armed, earliest = 0, float("inf")
+        for departure in departures.values():
+            if departure < earliest:
+                armed, earliest = armed + 1, departure
+        sim = service.sim
+        before = sim.events_executed
+        sim.run(until=max(departures.values()) + 1.0)
+        assert sim.events_executed - before == armed < len(departures) // 4
+        assert service.finalize().totals["departures"] == len(departures)
+
+    def test_due_sessions_retire_inside_run_at_their_own_times(self):
+        service, departures = self._admitted_block(40)
+        times = sorted(departures.values())
+        sim = service.sim
+        retired: list[tuple[float, int]] = []
+        for until in (times[5], times[20] + 0.5, times[-1] + 1.0):
+            sim.run(until=until)
+            retired = sorted((d, row) for row, d in departures.items()
+                             if d <= until)
+            # No facade call since the run: the alarm retired them.
+            live = len(departures) - len(retired)
+            assert service.engine.active_sessions == live
+            assert service.engine.controller.admitted_streams == live
+        assert live == 0
+        assert [(e.time, e.session_id) for e in service.finalize().events
+                if e.kind is SessionEventKind.DEPART] == retired
 
 
 #: One scenario per admission path: direct disk, MEMS cache, VoD prefix.

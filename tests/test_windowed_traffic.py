@@ -6,7 +6,8 @@ vectorized drains at calendar boundaries, and the service publishes
 each drained arrival's ticket events in one pass.  The reference below
 is the plain per-arrival driver — one calendar event and one
 ``MediaService.admit()`` per arrival, on an API-driven service whose
-departures are calendar events too.  The two must agree on:
+departures retire off the session table's heap behind one departure
+alarm on the calendar.  The two must agree on:
 
 * the result JSON, byte for byte, with ``events_executed`` zeroed (the
   windowed run puts no session on the calendar, which is its point);
@@ -254,7 +255,7 @@ class TestEdgeShapes:
     def test_zero_duration_holds(self, monkeypatch, latency):
         # Every session departs at the instant it arrives: each
         # departure must replay inside the drain window that admitted it,
-        # exactly where the reference's calendar event fires.
+        # exactly where the reference's departure alarm retires it.
         monkeypatch.setattr(SessionSampler, "next_holding",
                             lambda self: 0.0)
         config = _random_config(
@@ -269,8 +270,9 @@ class TestEdgeShapes:
     @pytest.mark.parametrize("latency", LATENCIES)
     def test_equal_holds(self, monkeypatch, latency):
         # Constant holding times make whole cohorts depart together:
-        # the harvest's (time, admit order) must match the calendar's
-        # FIFO tie-break.
+        # the windowed harvest must retire them in (time, admit order)
+        # at the same points among arrivals and control timers as the
+        # reference's departure alarm.
         monkeypatch.setattr(SessionSampler, "next_holding",
                             lambda self: 60.0)
         config = _random_config(
