@@ -312,6 +312,27 @@ class TestCompareRecords:
         with pytest.raises(ConfigurationError):
             compare_records(self.BASE, self.BASE, tolerance_pct=-1.0)
 
+    def test_rate_regression_mirrors_wall_time(self):
+        # A rate at a quarter of its baseline scores like a run four
+        # times as long: 300% worse, past CI's 200% tolerance.
+        quarter = {"event_loop": BenchRecord(
+            name="event_loop", preset="tiny",
+            metrics={"events_per_sec": 0.25e6})}
+        (comparison,), regressions = compare_records(
+            quarter, self.BASE, tolerance_pct=200.0)
+        assert comparison.regression_pct == pytest.approx(300.0)
+        assert regressions == [comparison]
+        assert "300.0% worse" in comparison.describe()
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0])
+    def test_a_rate_of_zero_or_below_is_a_regression(self, rate):
+        stalled = {"event_loop": BenchRecord(
+            name="event_loop", preset="tiny",
+            metrics={"events_per_sec": rate})}
+        _, regressions = compare_records(stalled, self.BASE,
+                                         tolerance_pct=1e9)
+        assert [r.metric for r in regressions] == ["events_per_sec"]
+
 
 class TestBenchCli:
     def _record(self, tmp_path, subdir):
