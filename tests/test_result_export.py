@@ -12,7 +12,9 @@ from __future__ import annotations
 import io
 import json
 import math
+import pickle
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -27,13 +29,21 @@ from repro.runtime import (
 from repro.runtime.export import EXPORT_BLOCK
 from repro.runtime.runtime import MigrationRecord
 from repro.service.config import RuntimeConfig
+from repro.service.facade import MediaService
 from repro.service.parity import ParityReport
-from repro.service.scenarios import SERVICE_SCENARIOS, build_service_scenario
+from repro.service.scenarios import (
+    SERVICE_SCENARIOS,
+    build_service_scenario,
+    steady_disk,
+)
 from repro.service.traffic import run_service
 
 INDENTS = (None, 2, 4)
 #: The golden-digest horizon (tests/test_golden_digests.py).
 HORIZON = 1_500.0
+#: The end-to-end benchmark's config files.
+E2E_CONFIG_DIR = (Path(__file__).parent.parent / "benchmarks" / "e2e"
+                  / "configs")
 
 
 def oracle_payload(result: RuntimeResult) -> dict:
@@ -170,6 +180,64 @@ class TestByteIdentity:
             result = hand_built(events=[events[i % len(events)]
                                         for i in range(n)])
             assert_exports_match(result, indent)
+
+
+def int_failure_result() -> RuntimeResult:
+    """``cache_catalog/device-failure`` with its failure at the int 5000.
+
+    An int ``"time"`` is valid config JSON; the failure then fires at
+    an int ``sim.now`` and stamps its ``DROP`` rows with that int.
+    """
+    data = json.loads(
+        (E2E_CONFIG_DIR / "cache_catalog" / "device-failure.json")
+        .read_text())
+    (failure,) = data["timeline"]["failures"]
+    failure["time"] = 5000
+    return run_service(RuntimeConfig.from_json(json.dumps(data)))
+
+
+class TestExactTimes:
+    """Int times export as ints: the golden configs all use floats."""
+
+    def test_int_failure_time_drops_export_an_int(self):
+        result = int_failure_result()
+        drops = [e for e in result.events if e.kind is SessionEventKind.DROP]
+        assert len(drops) == 26
+        assert all(e.time == 5000 and type(e.time) is int for e in drops)
+        expected = assert_exports_match(result, 2)
+        rows = [row for row in json.loads(expected)["events"]
+                if row["kind"] == "drop"]
+        assert len(rows) == 26
+        assert expected.count('"time": 5000,') == 26
+        assert '"time": 5000.0' not in expected
+
+    def test_int_run_bound_stamps_the_teardown(self):
+        service = MediaService(steady_disk(seed=1, horizon=2_000.0))
+        ticket = service.admit()
+        assert ticket.admitted
+        service.sim.run(until=100)
+        assert service.teardown(ticket.session_id)
+        result = service.finalize()
+        (depart,) = [e for e in result.events
+                     if e.kind is SessionEventKind.DEPART]
+        assert depart.time == 100 and type(depart.time) is int
+        for indent in INDENTS:
+            expected = assert_exports_match(result, indent)
+            # "time" sorts before "title", so a comma always follows.
+            assert '"time": 100,' in expected
+
+
+class TestPickle:
+    """``runtime all --jobs N`` ships results across a process pool."""
+
+    def test_round_trip_keeps_the_bytes(self):
+        for result in (int_failure_result(),
+                       run_service(build_service_scenario("overload",
+                                                          seed=1))):
+            clone = pickle.loads(pickle.dumps(result))
+            assert_same_bytes("pickled", clone.to_json(indent=2),
+                              oracle_json(result, 2))
+            assert len(clone.events) == len(result.events)
 
 
 class _CountingSink:
