@@ -334,7 +334,9 @@ def bench_million_sessions(preset: str) -> dict[str, float]:
     draws, departure-heap harvests, metrics notes.  The
     ``small`` preset admits ~150k sessions; ``large`` admits ~1M (the
     workload's namesake).  Gated on ``sessions_per_sec`` (admitted
-    sessions per wall second).
+    sessions per wall second).  ``audit_log_bytes`` is informational:
+    the exact bytes the session audit log's columns hold for the rows
+    the run wrote.
     """
     from repro.runtime.runtime import run_runtime
     from repro.service.scenarios import build_service_scenario
@@ -354,7 +356,8 @@ def bench_million_sessions(preset: str) -> dict[str, float]:
             "sessions_per_sec": totals.get("admits", 0) / wall,
             "sessions": float(totals.get("admits", 0)),
             "arrivals": float(totals.get("arrivals", 0)),
-            "session_events": float(len(result.events))}
+            "session_events": float(len(result.events)),
+            "audit_log_bytes": float(result.events.log.nbytes)}
 
 
 def _planner_query_set(grid: int):

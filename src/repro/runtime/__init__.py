@@ -22,6 +22,8 @@ from repro.runtime.runtime import (
 from repro.runtime.sessions import (
     SessionEvent,
     SessionEventKind,
+    SessionEvents,
+    SessionLog,
     SessionWorkload,
 )
 
@@ -41,6 +43,8 @@ __all__ = [
     "ServerRuntime",
     "SessionEvent",
     "SessionEventKind",
+    "SessionEvents",
+    "SessionLog",
     "SessionWorkload",
     "SurgeEvent",
     "plan_recovery",

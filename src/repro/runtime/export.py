@@ -3,21 +3,27 @@
 :func:`write_result` writes a runtime result with exactly the bytes of
 ``json.dumps(payload, indent=indent, sort_keys=True)``, but never
 builds that payload.  The session audit log, which is nearly all of
-the bytes, is encoded through one row template per indent and written
-:data:`EXPORT_BLOCK` events at a time, so export holds one block of
-rows rather than a dict per event and the whole string.  The other
-sections are small; they go through :func:`json.dumps` and are
-re-indented one level.
+the bytes, is formatted straight from its columns
+(:class:`~repro.runtime.sessions.SessionLog`) through one row template
+per indent, :data:`EXPORT_BLOCK` rows per ``write``: export holds one
+block of row strings, never a dict or an event object per row, nor the
+whole string.  Times take ``float.__repr__`` (what :mod:`json` writes
+for a finite float) unless one vectorised check finds a non-finite
+time in the block; rows the log stamped with an int time write that
+int.  The other sections are small; they go through :func:`json.dumps`
+and are re-indented one level.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from json.encoder import encode_basestring_ascii
 from typing import TextIO
 
-from repro.runtime.sessions import SessionEvent, SessionEventKind
+import numpy as np
+
+from repro.runtime.sessions import SessionEventKind, SessionLog
 
 #: Session events encoded per ``write`` call.
 EXPORT_BLOCK = 2048
@@ -29,13 +35,9 @@ _EVENT_FIELDS = ('"kind": %s', '"reason": %s', '"served_by": %s',
 _INF = float("inf")
 
 
-class _JsonStrings(dict):
-    """Memo of :mod:`json`'s ASCII spelling of strings (None is null)."""
-
-    def __missing__(self, value: str | None) -> str:
-        text = "null" if value is None else encode_basestring_ascii(value)
-        self[value] = text
-        return text
+def _json_string(value: str | None) -> str:
+    """``value`` exactly as :func:`json.dumps` spells it (None is null)."""
+    return "null" if value is None else encode_basestring_ascii(value)
 
 
 def _json_number(value: float) -> str:
@@ -51,10 +53,10 @@ def _json_number(value: float) -> str:
     return float.__repr__(value)
 
 
-def write_result(handle: TextIO, events: Sequence[SessionEvent],
+def write_result(handle: TextIO, log: SessionLog,
                  sections: Mapping[str, object], *,
                  indent: int | None = None) -> None:
-    """Write ``{"events": events, **sections}`` to ``handle`` as
+    """Write ``{"events": log, **sections}`` to ``handle`` as
     ``json.dumps(..., indent=indent, sort_keys=True)`` would."""
     if indent is None:
         item_sep, pads = ", ", ("", "", "", "")
@@ -66,7 +68,7 @@ def write_result(handle: TextIO, events: Sequence[SessionEvent],
         handle.write((item_sep if i else "") + pads[1]
                      + encode_basestring_ascii(key) + ": ")
         if key == "events":
-            _write_events(handle, events, item_sep, pads)
+            _write_events(handle, log, item_sep, pads)
             continue
         # json escapes line breaks inside strings, so every raw "\n"
         # in ``text`` starts an indented line.
@@ -75,25 +77,36 @@ def write_result(handle: TextIO, events: Sequence[SessionEvent],
     handle.write(pads[0] + "}")
 
 
-def _write_events(handle: TextIO, events: Sequence[SessionEvent],
-                  item_sep: str, pads: tuple[str, ...]) -> None:
-    """The ``events`` list: one formatted row per session event."""
-    if not events:
+def _write_events(handle: TextIO, log: SessionLog, item_sep: str,
+                  pads: tuple[str, ...]) -> None:
+    """The ``events`` list: one formatted row per log row."""
+    n = len(log)
+    if not n:
         handle.write("[]")
         return
-    row = ("{" + pads[3] + (item_sep + pads[3]).join(_EVENT_FIELDS)
-           + pads[2] + "}")
+    template = ("{" + pads[3] + (item_sep + pads[3]).join(_EVENT_FIELDS)
+                + pads[2] + "}")
     between = item_sep + pads[2]
-    kinds = {kind: encode_basestring_ascii(kind.value)
-             for kind in SessionEventKind}
-    strings = _JsonStrings()
-    number = _json_number
+    kinds = [_json_string(kind.value) for kind in SessionEventKind]
+    tiers = [_json_string(name) for name in log.tiers.names]
+    reasons = [_json_string(name) for name in log.reasons.names]
     handle.write("[" + pads[2])
-    for start in range(0, len(events), EXPORT_BLOCK):
+    for start in range(0, n, EXPORT_BLOCK):
+        stop = min(start + EXPORT_BLOCK, n)
         if start:
             handle.write(between)
+        block = log.time[start:stop]
+        times = list(map(float.__repr__ if np.isfinite(block).all()
+                         else _json_number, block.tolist()))
+        for row, time in log.exact(start, stop):
+            times[row - start] = _json_number(time)
         handle.write(between.join([
-            row % (kinds[e.kind], strings[e.reason], strings[e.served_by],
-                   e.session_id, number(e.time), e.title)
-            for e in events[start:start + EXPORT_BLOCK]]))
+            template % (kinds[kind], reasons[reason], tiers[served],
+                        session_id, time, title)
+            for kind, reason, served, session_id, time, title in zip(
+                log.kind[start:stop].tolist(),
+                log.reason[start:stop].tolist(),
+                log.served[start:stop].tolist(),
+                log.session[start:stop].tolist(), times,
+                log.title[start:stop].tolist())]))
     handle.write(pads[1] + "]")

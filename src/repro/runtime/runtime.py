@@ -52,8 +52,14 @@ from repro.runtime.metrics import MetricsLog, render_dashboard
 from repro.runtime.placement import AdaptivePlacement
 from repro.units import MB
 from repro.runtime.sessions import (
+    LOG_ADMIT,
+    LOG_DEPART,
+    LOG_DROP,
+    LOG_REJECT,
     SessionEvent,
     SessionEventKind,
+    SessionEvents,
+    SessionLog,
     SessionSampler,
     SessionTable,
     SessionWorkload,
@@ -216,7 +222,8 @@ class ArrivalOutcome:
 class RuntimeResult:
     """Everything one runtime run produced."""
 
-    events: list[SessionEvent]
+    #: The session audit log, read-only.
+    events: SessionEvents
     metrics: MetricsLog
     migrations: list[MigrationRecord]
     final_mode: str
@@ -261,7 +268,7 @@ class RuntimeResult:
         streamed a block at a time (:func:`repro.runtime.export.
         write_result`), so export never holds the payload.
         """
-        write_result(handle, self.events, {
+        write_result(handle, self.events.log, {
             "schema": 1,
             "summary": {
                 "final_mode": self.final_mode,
@@ -343,10 +350,10 @@ class ServerRuntime:
         self._rng = np.random.default_rng(config.seed)
         self._sampler = SessionSampler(config.workload, config.seed)
         self._sim = Simulator()
-        self._events: list[SessionEvent] = []
         self._metrics = MetricsLog()
         self._migrations: list[MigrationRecord] = []
         self._table = SessionTable()
+        self._log = SessionLog(tiers=self._table.tiers)
         #: API-driven until :meth:`self_drive`.
         self._harvest = False
         #: Earliest pending departure (lower bound; staying conservative
@@ -646,9 +653,13 @@ class ServerRuntime:
 
         self._sim.at(self._min_dep, alarm, "departure")
 
-    def _complete_departure(self, now: float, row: int) -> SessionEvent:
-        """Release a departing session's slot and log the exit."""
-        title, served, stream = self._table.mark_departed(row)
+    def _complete_departure(self, now: float, row: int
+                            ) -> tuple[int, int, int]:
+        """Release a departing session's slot and log the exit.
+
+        Returns the row's (title, tier code, stream id).
+        """
+        retired = title, tier, stream = self._table.mark_departed(row)
         if stream >= 0:
             # Shared stream: the IO slot frees only when the last
             # rider leaves.
@@ -660,11 +671,8 @@ class ServerRuntime:
         else:
             self._controller.release(1)
         self._metrics.count("departures")
-        event = SessionEvent(
-            time=now, kind=SessionEventKind.DEPART, session_id=row,
-            title=title, served_by=served)
-        self._events.append(event)
-        return event
+        self._log.append(now, LOG_DEPART, row, title, tier)
+        return retired
 
     def close_session(self, sim: Simulator,
                       session_id: int) -> SessionEvent | None:
@@ -682,7 +690,9 @@ class ServerRuntime:
             self._drain_table(now, inclusive=True)
         if not self._table.is_active(session_id):
             return None
-        return self._complete_departure(now, session_id)
+        title, tier, _ = self._complete_departure(now, session_id)
+        return SessionEvent(now, SessionEventKind.DEPART, session_id, title,
+                            self._table.tiers.names[tier])
 
     # -- Harvesting ----------------------------------------------------------
 
@@ -854,14 +864,13 @@ class ServerRuntime:
         row = self._next_id
         self._next_id += 1
         holding = self._sampler.next_holding()
-        self._table.add(row, title=title, arrival=now, holding=holding,
-                        served_by=served, stream_id=stream_id)
+        tier = self._table.add(row, title=title, arrival=now,
+                               holding=holding, served_by=served,
+                               stream_id=stream_id)
         dep = now + holding
         self._track_departure(dep)
         self._metrics.count("admits")
-        self._events.append(SessionEvent(
-            time=now, kind=SessionEventKind.ADMIT, session_id=row,
-            title=title, served_by=served))
+        self._log.append(now, LOG_ADMIT, row, title, tier)
         return row, dep
 
     def _bulk_reject(self, times: np.ndarray, titles: np.ndarray,
@@ -884,33 +893,27 @@ class ServerRuntime:
             self._prefix.observe_block(titles)
         self._rejects_total += n
         self._metrics.count("rejects", n)
-        append = self._events.append
-        times_list, titles_list = times.tolist(), titles.tolist()
-        for now, title in zip(times_list, titles_list):
-            append(SessionEvent(
-                time=now, kind=SessionEventKind.REJECT,
-                session_id=-1, title=title, reason=reason))
+        self._log.append_rejects(times, titles, self._log.reasons.code(reason))
         if records is not None:
             streams = self._controller.admitted_streams
             records.extend([(now, title, -1, None, reason, streams)
-                            for now, title in zip(times_list, titles_list)])
+                            for now, title in zip(times.tolist(),
+                                                  titles.tolist())])
 
     def _reject(self, now: float, title: int, reason: str | None
                 ) -> tuple[int, float, str | None, str | None, bool]:
         self._rejects_total += 1
         self._metrics.count("rejects")
-        self._events.append(SessionEvent(
-            time=now, kind=SessionEventKind.REJECT,
-            session_id=-1, title=title, reason=reason))
+        self._log.append(now, LOG_REJECT, -1, title, 0,
+                         self._log.reasons.code(reason))
         return -1, _INF, None, reason, False
 
     def _drop_row(self, sim: Simulator, row: int, reason: str) -> None:
         """Mark one table row dropped and log it (slot NOT released)."""
-        title, served, _ = self._table.mark_dropped(row)
+        title, tier, _ = self._table.mark_dropped(row)
         self._metrics.count("drops")
-        self._events.append(SessionEvent(
-            time=sim.now, kind=SessionEventKind.DROP, session_id=row,
-            title=title, served_by=served, reason=reason))
+        self._log.append(sim.now, LOG_DROP, row, title, tier,
+                         self._log.reasons.code(reason))
 
     def _shed_sessions(self, sim: Simulator, n_drop: int,
                        reason: str) -> None:
@@ -1332,7 +1335,7 @@ class ServerRuntime:
             notes["streams_opened"] = float(self._batcher.streams_total)
             notes["batched_sessions"] = float(self._batcher.sessions_total)
         return RuntimeResult(
-            events=self._events,
+            events=SessionEvents(self._log),
             metrics=self._metrics,
             migrations=self._migrations,
             final_mode=self._mode,

@@ -20,7 +20,11 @@ from __future__ import annotations
 
 import enum
 import heapq
+import operator
+from bisect import bisect_left
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,9 +43,14 @@ class SessionEventKind(enum.Enum):
     DROP = "drop"
 
 
-@dataclass(frozen=True, slots=True)
-class SessionEvent:
-    """One entry of the runtime's session audit log."""
+class SessionEvent(NamedTuple):
+    """One entry of the runtime's session audit log, built on read.
+
+    The runtime appends each entry to a :class:`SessionLog` as one row
+    of typed columns; a :class:`SessionEvent` exists only when a caller
+    reads that row through :class:`SessionEvents` (or when a teardown
+    returns the event it just logged).
+    """
 
     time: float
     kind: SessionEventKind
@@ -334,6 +343,26 @@ TABLE_ACTIVE = 1
 TABLE_DEPARTED = 2
 TABLE_DROPPED = 3
 
+
+class Codebook:
+    """Strings interned as small int codes, in first-seen order.
+
+    Code 0 is None, so a code column's zero fill means "no value".
+    """
+
+    def __init__(self) -> None:
+        self.names: list[str | None] = [None]
+        self._codes: dict[str | None, int] = {None: 0}
+
+    def code(self, name: str | None) -> int:
+        code = self._codes.get(name)
+        if code is None:
+            code = len(self.names)
+            self._codes[name] = code
+            self.names.append(name)
+        return code
+
+
 class SessionTable:
     """Struct-of-arrays store for session state.
 
@@ -349,6 +378,10 @@ class SessionTable:
     :meth:`harvest` and :meth:`min_departure` cost O(due) per window
     rather than a scan of every live row.  Torn-down and shed rows
     leave their entries behind; those are skipped when they surface.
+
+    The serving tier is stored as a :attr:`tiers` code, which the
+    runtime's :class:`SessionLog` shares, so a retired row's tier goes
+    to the audit log as the code the table already holds.
     """
 
     def __init__(self, *, capacity: int = 1024) -> None:  # repro-lint: disable=unit-literals (a row count, not bytes)
@@ -366,8 +399,7 @@ class SessionTable:
         self.stream = np.full(capacity, -1, dtype=np.int64)
         self.state = np.zeros(capacity, dtype=np.uint8)
         self.served = np.zeros(capacity, dtype=np.int16)
-        self._served_names: list[str] = []
-        self._served_codes: dict[str, int] = {}
+        self.tiers = Codebook()
         self._bind_views()
 
     def _bind_views(self) -> None:
@@ -389,12 +421,7 @@ class SessionTable:
 
     def serve_code(self, served_by: str) -> int:
         """Intern a serving-tier name ("disk", "cache", ...) as a code."""
-        code = self._served_codes.get(served_by)
-        if code is None:
-            code = len(self._served_names)
-            self._served_codes[served_by] = code
-            self._served_names.append(served_by)
-        return code
+        return self.tiers.code(served_by)
 
     def _grow(self) -> None:
         capacity = 2 * len(self.departure)
@@ -411,8 +438,11 @@ class SessionTable:
 
     def add(self, session_id: int, *, title: int, arrival: float,
             holding: float, served_by: str,
-            stream_id: int | None = None) -> None:
-        """Append an admitted session (ids must stay dense)."""
+            stream_id: int | None = None) -> int:
+        """Append an admitted session (ids must stay dense).
+
+        Returns the row's :attr:`tiers` code.
+        """
         if session_id != self._n:
             raise ConfigurationError(
                 f"session ids must be dense: expected {self._n}, "
@@ -426,10 +456,11 @@ class SessionTable:
         self._title_v[row] = title
         if stream_id is not None:  # unused rows already hold -1
             self._stream_v[row] = stream_id
-        self._served_v[row] = self.serve_code(served_by)
+        tier = self._served_v[row] = self.tiers.code(served_by)
         self._state_v[row] = TABLE_ACTIVE
         self._n += 1
         self._active += 1
+        return tier
 
     # -- Masked scans --------------------------------------------------------
 
@@ -441,7 +472,7 @@ class SessionTable:
         self._lo = int(rows[0]) if len(rows) else n
         return rows
 
-    def harvest(self, until: float, *, inclusive: bool = True) -> list[int]:
+    def harvest(self, until: float) -> list[int]:
         """Live rows departing by ``until``, ordered by (time, admit order).
 
         Pops the due entries off the departure heap, so each row is
@@ -451,8 +482,7 @@ class SessionTable:
         due = self._due
         state = self._state_v
         rows: list[int] = []
-        while due and (due[0][0] <= until if inclusive
-                       else due[0][0] < until):
+        while due and due[0][0] <= until:
             row = heapq.heappop(due)[1]
             if state[row] == TABLE_ACTIVE:
                 rows.append(row)
@@ -470,21 +500,219 @@ class SessionTable:
         """True when ``row`` names a live session (False for any other int)."""
         return 0 <= row < self._n and self._state_v[row] == TABLE_ACTIVE
 
-    def mark_departed(self, row: int) -> tuple[int, str, int]:
-        """Retire a departing row; returns its (title, tier, stream id)."""
+    def mark_departed(self, row: int) -> tuple[int, int, int]:
+        """Retire a departing row; returns its (title, tier code, stream id)."""
         self._state_v[row] = TABLE_DEPARTED
         self._active -= 1
-        return (self._title_v[row], self._served_names[self._served_v[row]],
-                self._stream_v[row])
+        return self._title_v[row], self._served_v[row], self._stream_v[row]
 
-    def mark_dropped(self, row: int) -> tuple[int, str, int]:
-        """Retire a shed row; returns its (title, tier, stream id)."""
+    def mark_dropped(self, row: int) -> tuple[int, int, int]:
+        """Retire a shed row; returns its (title, tier code, stream id)."""
         self._state_v[row] = TABLE_DROPPED
         self._active -= 1
-        return (self._title_v[row], self._served_names[self._served_v[row]],
-                self._stream_v[row])
+        return self._title_v[row], self._served_v[row], self._stream_v[row]
 
     def shed_newest(self, count: int) -> np.ndarray:
         """Newest ``count`` live rows (reverse admit order), for sheds."""
         rows = self.active_rows()
         return rows[::-1][:count]
+
+
+#: ``SessionLog.kind`` codes: the position in :class:`SessionEventKind`.
+LOG_ADMIT, LOG_REJECT, LOG_DEPART, LOG_DROP = range(4)
+_KINDS = tuple(SessionEventKind)
+
+#: Rows :class:`SessionEvents` builds per step while iterating.
+_READ_BLOCK = 2048
+#: Rows a new :class:`SessionLog` holds before its columns first double.
+_LOG_ROWS = 1024  # repro-lint: disable=unit-literals (a row count, not bytes)
+
+
+class SessionLog:
+    """Columnar session audit log: one row per admit, reject, departure
+    and drop, in the order they happened.
+
+    Each row is one write to six typed numpy columns — :attr:`time`
+    ``f8``, :attr:`kind` ``u1`` (a ``LOG_*`` code), :attr:`session` id
+    ``i8`` (-1 on rejects), :attr:`title` ``i8``, and the
+    :attr:`served` ``u1`` and :attr:`reason` ``u2`` codes of two
+    :class:`Codebook` s — 28 bytes a row, against some 110 for a
+    per-event object in a list.  As in :class:`SessionTable`, the
+    columns double when full (rows ``len(log)`` on are unused) and one
+    row is written through memoryviews.  The served-by codebook is the
+    table's own, so a retiring row logs the code the table holds.
+    :class:`SessionEvents` reads the rows back as :class:`SessionEvent`
+    s, and :mod:`repro.runtime.export` formats them straight from
+    column slices.
+
+    A row stamped with a time that is not a float (an int ``sim.now``,
+    from an int timeline time or an API caller's ``sim.run(until=100)``)
+    keeps that exact value in :attr:`exact_rows` / :attr:`exact_times`
+    beside the column, so it reads back and exports as the int.
+    """
+
+    _COLUMNS = (("time", np.float64), ("kind", np.uint8),
+                ("session", np.int64), ("title", np.int64),
+                ("served", np.uint8), ("reason", np.uint16))
+
+    def __init__(self, *, tiers: Codebook | None = None) -> None:
+        self.tiers = tiers if tiers is not None else Codebook()
+        self.reasons = Codebook()
+        self._n = 0
+        for name, dtype in self._COLUMNS:
+            setattr(self, name, np.empty(_LOG_ROWS, dtype=dtype))
+        self._bind_views()
+        #: Rows (ascending) whose time is not a float, and those times.
+        self.exact_rows: list[int] = []
+        self.exact_times: list[object] = []
+
+    def _bind_views(self) -> None:
+        # One-row writes through a memoryview cost about half of numpy
+        # scalar indexing (see SessionTable._bind_views).
+        for name, _ in self._COLUMNS:
+            setattr(self, f"_{name}_v", memoryview(getattr(self, name)))
+
+    def _grow(self, rows: int) -> None:
+        """Double the columns until ``rows`` rows fit."""
+        capacity = len(self.time)
+        while capacity < rows:
+            capacity *= 2
+        # Column by column, so only one old column outlives its copy.
+        for name, _ in self._COLUMNS:
+            old = getattr(self, name)
+            new = np.empty(capacity, dtype=old.dtype)
+            new[:self._n] = old[:self._n]
+            setattr(self, name, new)
+            setattr(self, f"_{name}_v", memoryview(new))
+
+    def __getstate__(self) -> dict:
+        # Pickle the written rows only; memoryviews do not pickle.
+        state = {key: value for key, value in vars(self).items()
+                 if not key.endswith("_v")}
+        for name, _ in self._COLUMNS:
+            state[name] = state[name][:max(self._n, 1)].copy()
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        self._bind_views()
+
+    @classmethod
+    def from_events(cls, events: Iterable[SessionEvent]) -> SessionLog:
+        """A log holding ``events`` in order (the inverse of reading it)."""
+        log = cls()
+        kinds = {kind: code for code, kind in enumerate(_KINDS)}
+        for e in events:
+            log.append(e.time, kinds[e.kind], e.session_id, e.title,
+                       log.tiers.code(e.served_by),
+                       log.reasons.code(e.reason))
+        return log
+
+    def __len__(self) -> int:
+        return self._n
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the columns hold for the rows written."""
+        return self._n * (
+            self.time.itemsize + self.kind.itemsize + self.session.itemsize
+            + self.title.itemsize + self.served.itemsize
+            + self.reason.itemsize)
+
+    def append(self, time: float, kind: int, session_id: int, title: int,
+               served: int = 0, reason: int = 0) -> None:
+        """Log one row; ``served`` and ``reason`` are codebook codes."""
+        row = self._n
+        if row == len(self.time):
+            self._grow(row + 1)
+        if type(time) is not float and not isinstance(time, float):
+            self.exact_rows.append(row)
+            self.exact_times.append(time)
+        self._time_v[row] = time
+        self._kind_v[row] = kind
+        self._session_v[row] = session_id
+        self._title_v[row] = title
+        self._served_v[row] = served
+        self._reason_v[row] = reason
+        self._n = row + 1
+
+    def append_rejects(self, times: np.ndarray, titles: np.ndarray,
+                       reason: int) -> None:
+        """Log one REJECT row per arrival of a block, column by column."""
+        row = self._n
+        end = row + len(times)
+        if end > len(self.time):
+            self._grow(end)
+        self.time[row:end] = times
+        self.kind[row:end] = LOG_REJECT
+        self.session[row:end] = -1
+        self.title[row:end] = titles
+        self.served[row:end] = 0
+        self.reason[row:end] = reason
+        self._n = end
+
+    def exact(self, start: int, stop: int) -> list[tuple[int, object]]:
+        """``(row, time)`` of the rows in ``start:stop`` whose time is
+        not a float."""
+        rows = self.exact_rows
+        lo, hi = bisect_left(rows, start), bisect_left(rows, stop)
+        return list(zip(rows[lo:hi], self.exact_times[lo:hi]))
+
+    def times(self, start: int, stop: int) -> list:
+        """Rows ``start:stop``'s times as Python numbers (exact ints kept)."""
+        times = self.time[start:stop].tolist()
+        for row, time in self.exact(start, stop):
+            times[row - start] = time
+        return times
+
+    def events(self, start: int, stop: int) -> list[SessionEvent]:
+        """Rows ``start:stop`` (clipped to the log) as :class:`SessionEvent` s."""
+        stop = min(stop, self._n)
+        tiers, reasons = self.tiers.names, self.reasons.names
+        return [SessionEvent(time, _KINDS[kind], session_id, title,
+                             tiers[served], reasons[reason])
+                for time, kind, session_id, title, served, reason in zip(
+                    self.times(start, stop), self.kind[start:stop].tolist(),
+                    self.session[start:stop].tolist(),
+                    self.title[start:stop].tolist(),
+                    self.served[start:stop].tolist(),
+                    self.reason[start:stop].tolist())]
+
+
+class SessionEvents(Sequence):
+    """Read-only sequence view of a :class:`SessionLog`.
+
+    ``len`` is the log's row count; indexing, slicing and iteration
+    build :class:`SessionEvent` s only for the rows they read.  Two
+    views (or a view and a list of events) compare equal row by row.
+    """
+
+    def __init__(self, log: SessionLog) -> None:
+        self.log = log
+
+    def __len__(self) -> int:
+        return len(self.log)
+
+    def __getitem__(self, index):
+        # ``range`` resolves negative indexes and slices, and raises
+        # the IndexError the sequence protocol expects.
+        rows = range(len(self.log))[index]
+        if isinstance(rows, int):
+            return self.log.events(rows, rows + 1)[0]
+        if rows.step == 1:
+            return self.log.events(rows.start, max(rows.start, rows.stop))
+        return [self.log.events(i, i + 1)[0] for i in rows]
+
+    def __iter__(self) -> Iterator[SessionEvent]:
+        for start in range(0, len(self.log), _READ_BLOCK):
+            yield from self.log.events(start, start + _READ_BLOCK)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (SessionEvents, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"<SessionEvents: {len(self)} rows>"

@@ -229,6 +229,10 @@ class TestSmallPresetCounts:
         assert metrics["sessions"] == 149873
         assert metrics["arrivals"] == 149873
         assert metrics["sessions_per_sec"] > 0
+        assert metrics["session_events"] == 299667
+        # 28 column bytes a row: time f8, kind u1, session id i8,
+        # title i8, served-by code u1, reason code u2.
+        assert metrics["audit_log_bytes"] == 299667 * 28 == 8390676
 
 
 class TestPersistence:

@@ -24,6 +24,8 @@ from repro.runtime import (
     RuntimeResult,
     SessionEvent,
     SessionEventKind,
+    SessionEvents,
+    SessionLog,
     run_runtime,
 )
 from repro.runtime.export import EXPORT_BLOCK
@@ -141,7 +143,8 @@ def _edge_events() -> list[SessionEvent]:
 
 def hand_built(*, events: list[SessionEvent], migrations=()) -> RuntimeResult:
     return RuntimeResult(
-        events=events, metrics=_metrics(), migrations=list(migrations),
+        events=SessionEvents(SessionLog.from_events(events)),
+        metrics=_metrics(), migrations=list(migrations),
         final_mode="degraded", final_policy=None, k_active=1,
         final_capacity=0, final_dram_required=math.inf,
         dram_budget=-math.inf, degraded_time=math.nan, horizon=1e300,

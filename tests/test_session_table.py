@@ -14,6 +14,7 @@ the heap is held against a per-arrival driver in
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -83,7 +84,9 @@ class TestDepartureHeap:
             else:
                 inclusive = kind == "harvest"
                 expected = _scan_harvest(table, value, inclusive)
-                rows = table.harvest(value, inclusive=inclusive)
+                # Strictly before ``value`` is up to the float below it.
+                rows = table.harvest(value if inclusive
+                                     else math.nextafter(value, -math.inf))
                 assert rows == expected
                 # The caller retires every harvested row.
                 for row in rows:
@@ -97,7 +100,7 @@ class TestDepartureHeap:
                       holding=100.0 - sid, served_by="disk")
         # All four depart at t=100 (and the capacity-2 table grew).
         assert table.min_departure() == 100.0
-        assert table.harvest(100.0, inclusive=False) == []
+        assert table.harvest(math.nextafter(100.0, 0.0)) == []
         assert table.harvest(100.0) == [0, 1, 2, 3]
         # Each due row is handed out once.
         assert table.harvest(100.0) == []
