@@ -987,7 +987,7 @@ class ServerRuntime:
         # (riders keep "shared" — their IO is the opener's).
         table = self._table
         rows = table.active_rows()
-        rows = rows[table.served[rows] != table.serve_code("shared")]
+        rows = rows[table.served[rows] != table.tiers.code("shared")]
         self._relabel(rows, self._prefix.resident_titles, "prefix")
         capacity = self._controller.capacity()
         if self._batcher.active_streams > capacity:
@@ -1004,8 +1004,8 @@ class ServerRuntime:
         hit = np.zeros(self.config.workload.n_titles, dtype=bool)
         hit[list(titles)] = True
         table.served[rows] = np.where(hit[table.title[rows]],
-                                      table.serve_code(tier),
-                                      table.serve_code("disk"))
+                                      table.tiers.code(tier),
+                                      table.tiers.code("disk"))
 
     def _on_epoch(self, sim: Simulator) -> None:
         self.run_epoch(sim)
@@ -1066,7 +1066,7 @@ class ServerRuntime:
         table = self._table
         rows = table.active_rows()
         table.stream[rows] = -1
-        table.served[rows] = table.serve_code("disk")
+        table.served[rows] = table.tiers.code("disk")
         self._prefix = None
         self._prefix_decision = None
         self._mode = plan.mode
@@ -1135,7 +1135,7 @@ class ServerRuntime:
                 table = self._table
                 rows = table.active_rows()
                 # _served_by is title-independent outside cache mode.
-                table.served[rows] = table.serve_code(
+                table.served[rows] = table.tiers.code(
                     "buffer" if self._mode == "buffer" else "disk")
         self._bank = (None if self._k_active < 1 else MemsBank(
             self.config.device, self._k_active, BankPolicy.ROUND_ROBIN))
@@ -1182,7 +1182,7 @@ class ServerRuntime:
         table = self._table
         rows = table.active_rows()
         return int(np.count_nonzero(
-            table.served[rows] == table.serve_code("cache")))
+            table.served[rows] == table.tiers.code("cache")))
 
     def _device_utilization(self) -> float:
         """Load fraction of the bottleneck device class."""

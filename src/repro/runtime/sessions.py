@@ -379,9 +379,9 @@ class SessionTable:
     rather than a scan of every live row.  Torn-down and shed rows
     leave their entries behind; those are skipped when they surface.
 
-    The serving tier is stored as a :attr:`tiers` code, which the
-    runtime's :class:`SessionLog` shares, so a retired row's tier goes
-    to the audit log as the code the table already holds.
+    The serving tier ("disk", "cache", ...) is stored as a :attr:`tiers`
+    code, which the runtime's :class:`SessionLog` shares, so a retired
+    row's tier goes to the audit log as the code the table holds.
     """
 
     def __init__(self, *, capacity: int = 1024) -> None:  # repro-lint: disable=unit-literals (a row count, not bytes)
@@ -418,10 +418,6 @@ class SessionTable:
     @property
     def active_count(self) -> int:
         return self._active
-
-    def serve_code(self, served_by: str) -> int:
-        """Intern a serving-tier name ("disk", "cache", ...) as a code."""
-        return self.tiers.code(served_by)
 
     def _grow(self) -> None:
         capacity = 2 * len(self.departure)
@@ -658,21 +654,17 @@ class SessionLog:
         lo, hi = bisect_left(rows, start), bisect_left(rows, stop)
         return list(zip(rows[lo:hi], self.exact_times[lo:hi]))
 
-    def times(self, start: int, stop: int) -> list:
-        """Rows ``start:stop``'s times as Python numbers (exact ints kept)."""
-        times = self.time[start:stop].tolist()
-        for row, time in self.exact(start, stop):
-            times[row - start] = time
-        return times
-
     def events(self, start: int, stop: int) -> list[SessionEvent]:
         """Rows ``start:stop`` (clipped to the log) as :class:`SessionEvent` s."""
         stop = min(stop, self._n)
+        times = self.time[start:stop].tolist()
+        for row, time in self.exact(start, stop):
+            times[row - start] = time
         tiers, reasons = self.tiers.names, self.reasons.names
         return [SessionEvent(time, _KINDS[kind], session_id, title,
                              tiers[served], reasons[reason])
                 for time, kind, session_id, title, served, reason in zip(
-                    self.times(start, stop), self.kind[start:stop].tolist(),
+                    times, self.kind[start:stop].tolist(),
                     self.session[start:stop].tolist(),
                     self.title[start:stop].tolist(),
                     self.served[start:stop].tolist(),
