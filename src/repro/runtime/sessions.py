@@ -639,6 +639,10 @@ class SessionLog:
         end = row + len(times)
         if end > len(self.time):
             self._grow(end)
+        if times.dtype.kind != "f":
+            # A burst at an int ``sim.now`` arrives as an int block.
+            self.exact_rows.extend(range(row, end))
+            self.exact_times.extend(times.tolist())
         self.time[row:end] = times
         self.kind[row:end] = LOG_REJECT
         self.session[row:end] = -1

@@ -36,6 +36,7 @@ from repro.service.parity import ParityReport
 from repro.service.scenarios import (
     SERVICE_SCENARIOS,
     build_service_scenario,
+    overload,
     steady_disk,
 )
 from repro.service.traffic import run_service
@@ -228,6 +229,21 @@ class TestExactTimes:
             expected = assert_exports_match(result, indent)
             # "time" sorts before "title", so a comma always follows.
             assert '"time": 100,' in expected
+
+    def test_int_time_burst_rejects_export_ints(self):
+        # Past capacity, admit_block rejects the rest of the burst as
+        # one block stamped with the int sim.now.
+        service = MediaService(overload(seed=1, horizon=2_000.0))
+        service.sim.run(until=100)
+        service.admit_block(count=400)
+        result = service.finalize()
+        rejects = [e for e in result.events
+                   if e.kind is SessionEventKind.REJECT]
+        assert len(rejects) == 240
+        assert all(e.time == 100 and type(e.time) is int for e in rejects)
+        for indent in INDENTS:
+            expected = assert_exports_match(result, indent)
+            assert '"time": 100.0' not in expected
 
 
 class TestPickle:
