@@ -22,7 +22,7 @@ import enum
 import heapq
 import operator
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -592,17 +592,6 @@ class SessionLog:
     def __setstate__(self, state: dict) -> None:
         vars(self).update(state)
         self._bind_views()
-
-    @classmethod
-    def from_events(cls, events: Iterable[SessionEvent]) -> SessionLog:
-        """A log holding ``events`` in order (the inverse of reading it)."""
-        log = cls()
-        kinds = {kind: code for code, kind in enumerate(_KINDS)}
-        for e in events:
-            log.append(e.time, kinds[e.kind], e.session_id, e.title,
-                       log.tiers.code(e.served_by),
-                       log.reasons.code(e.reason))
-        return log
 
     def __len__(self) -> int:
         return self._n

@@ -142,9 +142,19 @@ def _edge_events() -> list[SessionEvent]:
     ]
 
 
+def log_of(events: list[SessionEvent]) -> SessionLog:
+    """A log holding ``events`` in order, appended as the runtime does."""
+    log = SessionLog()
+    for e in events:
+        log.append(e.time, list(SessionEventKind).index(e.kind),
+                   e.session_id, e.title, log.tiers.code(e.served_by),
+                   log.reasons.code(e.reason))
+    return log
+
+
 def hand_built(*, events: list[SessionEvent], migrations=()) -> RuntimeResult:
     return RuntimeResult(
-        events=SessionEvents(SessionLog.from_events(events)),
+        events=SessionEvents(log_of(events)),
         metrics=_metrics(), migrations=list(migrations),
         final_mode="degraded", final_policy=None, k_active=1,
         final_capacity=0, final_dram_required=math.inf,

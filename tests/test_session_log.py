@@ -12,6 +12,7 @@ import json
 import pickle
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.runtime.sessions import (
@@ -129,15 +130,23 @@ class TestColumns:
                   if e.kind is DEPART and e.session_id == ticket.session_id]
         assert row == closed
 
-    def test_from_events_reads_back(self):
-        events = [SessionEvent(0.5, ADMIT, 0, 3, "cache"),
-                  SessionEvent(7, SessionEventKind.DROP, 0, 3, "cache",
-                               "device failure"),
-                  SessionEvent(9.0, REJECT, -1, 2 ** 40, None, "full")]
-        view = SessionEvents(SessionLog.from_events(events))
-        assert list(view) == events
+    def test_appended_rows_read_back(self):
+        log = SessionLog()
+        log.append(0.5, 0, 0, 3, log.tiers.code("cache"))
+        log.append(7, 3, 0, 3, log.tiers.code("cache"),
+                   log.reasons.code("device failure"))
+        log.append_rejects(np.array([9.0, 9.5]), np.array([2 ** 40, 1]),
+                           log.reasons.code("full"))
+        view = SessionEvents(log)
+        assert list(view) == [
+            SessionEvent(0.5, ADMIT, 0, 3, "cache"),
+            SessionEvent(7, SessionEventKind.DROP, 0, 3, "cache",
+                         "device failure"),
+            SessionEvent(9.0, REJECT, -1, 2 ** 40, None, "full"),
+            SessionEvent(9.5, REJECT, -1, 1, None, "full")]
         assert type(view[1].time) is int
-        assert view.log.exact_rows == [1]
+        assert log.exact_rows == [1]
+        assert log.nbytes == 4 * 28
 
     def test_session_event_is_an_immutable_named_tuple(self):
         event = SessionEvent(1.0, ADMIT, 0, 3)
